@@ -1,10 +1,12 @@
 //! Device models and their MNA companion stamps.
 //!
 //! All devices stamp into the conductance matrix `G` and right-hand side
-//! `b` of `G·v = b` once per Newton iteration. Capacitors use the
-//! backward-Euler companion (conductance `C/dt` plus history current);
-//! MOSFETs use the linearized square-law model with symmetric source/drain
-//! handling so pass transistors conduct in both directions.
+//! `b` of `G·v = b`: resistors and capacitor companion conductances once
+//! per step size, capacitor history currents once per step, MOSFETs once
+//! per Newton iteration. Capacitors use the backward-Euler companion
+//! (conductance `C/dt` plus history current); MOSFETs use the linearized
+//! square-law model with symmetric source/drain handling so pass
+//! transistors conduct in both directions.
 
 use crate::params::MosParams;
 

@@ -5,9 +5,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::dram::Topology;
 use crate::params::{CircuitParams, MosParams};
-use crate::timing::{measure_mode, ModeTimings, Table1Measurement};
+use crate::timing::{measure_table1, ModeTimings, Table1Measurement};
 
 /// Relative component variation (1σ = 5 %, clamped to ±3σ).
 const SIGMA: f64 = 0.05;
@@ -63,12 +62,7 @@ pub fn worst_case_table1(p: &CircuitParams, iterations: usize, seed: u64) -> Tab
     let mut acc: Option<Table1Measurement> = None;
     for _ in 0..iterations {
         let sample = perturb(p, &mut rng);
-        let t = Table1Measurement {
-            baseline: measure_mode(Topology::OpenBitlineBaseline, &sample, false),
-            max_capacity: measure_mode(Topology::ClrMaxCapacity, &sample, false),
-            hp_no_et: measure_mode(Topology::ClrHighPerformance, &sample, false),
-            hp_et: measure_mode(Topology::ClrHighPerformance, &sample, true),
-        };
+        let t = measure_table1(&sample);
         acc = Some(match acc {
             None => t,
             Some(prev) => Table1Measurement {
@@ -100,7 +94,7 @@ mod tests {
     #[test]
     fn worst_case_dominates_nominal() {
         let p = CircuitParams::default_22nm();
-        let nominal = crate::timing::measure_table1(&p);
+        let nominal = measure_table1(&p);
         let wc = worst_case_table1(&p, 5, 7);
         assert!(wc.baseline.t_rcd_ns >= 0.95 * nominal.baseline.t_rcd_ns);
         assert!(wc.hp_et.t_ras_ns >= 0.95 * nominal.hp_et.t_ras_ns);

@@ -17,6 +17,10 @@ pub struct Transient {
     t_ns: f64,
     dt_ns: f64,
     newton_iters_last: usize,
+    /// Linear stamps and buffers for the current step size and source
+    /// connectivity; `None` until the first step and after
+    /// [`Transient::set_connected`].
+    ws: Option<Workspace>,
 }
 
 /// Newton convergence tolerance (volts).
@@ -44,6 +48,7 @@ impl Transient {
             t_ns: 0.0,
             dt_ns,
             newton_iters_last: 0,
+            ws: None,
         }
     }
 
@@ -79,6 +84,7 @@ impl Transient {
     /// Connects or disconnects a source (disconnected = floating node).
     pub fn set_connected(&mut self, id: SourceId, connected: bool) {
         self.net.sources[id.0].connected = connected;
+        self.ws = None;
     }
 
     /// Present value of a source.
@@ -149,88 +155,65 @@ impl Transient {
 
     /// One backward-Euler step of `dt`; returns convergence success.
     fn solve_step(&mut self, dt: f64) -> bool {
-        let nodes = self.net.nodes();
-        let connected: Vec<usize> = self
-            .net
-            .sources
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.connected)
-            .map(|(i, _)| i)
-            .collect();
-        let n = (nodes - 1) + connected.len();
-        let mut g = Matrix::zeros(n);
-        let mut rhs = vec![0.0; n];
-        // Unknown indices: node k (k ≥ 1) → k − 1; source branch j →
-        // nodes − 1 + j.
-        let idx = |node: usize| -> Option<usize> {
-            if node == 0 {
-                None
-            } else {
-                Some(node - 1)
+        if self.ws.as_ref().is_none_or(|ws| ws.dt_ns != dt) {
+            self.ws = Some(Workspace::new(&self.net, dt));
+        }
+        let ws = self.ws.as_mut().expect("workspace was just built");
+        let net = &self.net;
+        let nodes = net.nodes();
+
+        // Per-step right-hand side: capacitor history currents at the
+        // previous step's voltages, then the source values.
+        ws.rhs.fill(0.0);
+        for (c, &gc) in net.capacitors.iter().zip(&ws.gc) {
+            let hist = gc * (self.v[c.a] - self.v[c.b]);
+            if let Some(a) = unknown(c.a) {
+                ws.rhs[a] += hist;
             }
-        };
+            if let Some(b) = unknown(c.b) {
+                ws.rhs[b] -= hist;
+            }
+        }
+        for (j, &si) in ws.connected.iter().enumerate() {
+            ws.rhs[nodes - 1 + j] = net.sources[si].value;
+        }
 
-        let v_prev = self.v.clone();
-        let mut v = self.v.clone();
-        let dt_s = dt * 1e-9;
-
+        let v = &mut ws.v;
+        v.copy_from_slice(&self.v);
         let mut iters = 0;
         loop {
             iters += 1;
-            g.clear();
-            rhs.iter_mut().for_each(|x| *x = 0.0);
-
-            for r in &self.net.resistors {
-                let cond = 1.0 / r.ohms;
-                stamp_conductance(&mut g, idx(r.a), idx(r.b), cond);
-            }
-            for c in &self.net.capacitors {
-                let gc = c.farads / dt_s;
-                stamp_conductance(&mut g, idx(c.a), idx(c.b), gc);
-                let hist = gc * (v_prev[c.a] - v_prev[c.b]);
-                if let Some(a) = idx(c.a) {
-                    rhs[a] += hist;
-                }
-                if let Some(b) = idx(c.b) {
-                    rhs[b] -= hist;
-                }
-            }
-            for m in &self.net.mosfets {
+            let (g, x) = (&mut ws.g, &mut ws.x);
+            g.clone_from(&ws.base);
+            x.copy_from_slice(&ws.rhs);
+            for m in &net.mosfets {
                 let lin = m.linearize(v[m.d], v[m.g], v[m.s]);
-                stamp_conductance(&mut g, idx(m.d), idx(m.s), GMIN);
+                stamp_conductance(unknown(m.d), unknown(m.s), GMIN, |r, c, cond| {
+                    g.add_within(r, c, cond)
+                });
                 // Jacobian rows for KCL at d (+I) and s (−I).
                 let partials = [(m.d, lin.di_dvd), (m.g, lin.di_dvg), (m.s, lin.di_dvs)];
                 let i_lin =
                     lin.ids - lin.di_dvd * v[m.d] - lin.di_dvg * v[m.g] - lin.di_dvs * v[m.s];
-                if let Some(d) = idx(m.d) {
+                if let Some(d) = unknown(m.d) {
                     for &(node, dp) in &partials {
-                        if let Some(x) = idx(node) {
-                            g.add(d, x, dp);
+                        if let Some(col) = unknown(node) {
+                            g.add_within(d, col, dp);
                         }
                     }
-                    rhs[d] -= i_lin;
+                    x[d] -= i_lin;
                 }
-                if let Some(s) = idx(m.s) {
+                if let Some(s) = unknown(m.s) {
                     for &(node, dp) in &partials {
-                        if let Some(x) = idx(node) {
-                            g.add(s, x, -dp);
+                        if let Some(col) = unknown(node) {
+                            g.add_within(s, col, -dp);
                         }
                     }
-                    rhs[s] += i_lin;
+                    x[s] += i_lin;
                 }
-            }
-            for (j, &si) in connected.iter().enumerate() {
-                let s = &self.net.sources[si];
-                let br = nodes - 1 + j;
-                let node = idx(s.node).expect("sources never drive ground");
-                g.add(br, node, 1.0);
-                g.add(node, br, 1.0);
-                rhs[br] = s.value;
             }
 
-            let mut x = rhs.clone();
-            if !g.solve_in_place(&mut x) {
+            if !g.solve_in_place(x) {
                 return false;
             }
             // Damped update + convergence check.
@@ -249,21 +232,115 @@ impl Transient {
             }
         }
         self.newton_iters_last = iters;
-        self.v = v;
+        std::mem::swap(&mut self.v, v);
         true
     }
 }
 
-fn stamp_conductance(g: &mut Matrix, a: Option<usize>, b: Option<usize>, cond: f64) {
+/// The solver state one step size and one set of connected sources share:
+/// the linear part of the MNA matrix and the per-step buffers.
+///
+/// Resistors, capacitor companions and source branches stamp the same
+/// values every Newton iteration, so they are stamped once here; each
+/// iteration copies this base and adds only the MOSFET stamps. That is
+/// bit-identical to restamping everything each iteration: every matrix
+/// entry sums its terms in the same order (resistors, then capacitors,
+/// then MOSFETs), and no MOSFET touches a source-branch row or column.
+#[derive(Debug, Clone)]
+struct Workspace {
+    /// The step size (ns) the capacitor companions were built for.
+    dt_ns: f64,
+    /// Connected sources in netlist order; source `connected[j]` owns
+    /// branch unknown `nodes − 1 + j`.
+    connected: Vec<usize>,
+    /// Capacitor companion conductances `C/dt`, in netlist order.
+    gc: Vec<f64>,
+    /// Resistor, capacitor-companion and source-branch stamps, with the
+    /// MOSFET stamp positions reserved in its pattern.
+    base: Matrix,
+    /// Per-step right-hand side (capacitor history, source values).
+    rhs: Vec<f64>,
+    /// The Newton iteration's matrix.
+    g: Matrix,
+    /// The Newton iteration's right-hand side, then its solution.
+    x: Vec<f64>,
+    /// The Newton iterate (node voltages).
+    v: Vec<f64>,
+}
+
+impl Workspace {
+    fn new(net: &Netlist, dt_ns: f64) -> Self {
+        let nodes = net.nodes();
+        let connected: Vec<usize> = net
+            .sources
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.connected)
+            .map(|(i, _)| i)
+            .collect();
+        let n = (nodes - 1) + connected.len();
+        let mut base = Matrix::zeros(n);
+        for r in &net.resistors {
+            stamp_conductance(unknown(r.a), unknown(r.b), 1.0 / r.ohms, |i, j, v| {
+                base.add(i, j, v)
+            });
+        }
+        let dt_s = dt_ns * 1e-9;
+        let gc: Vec<f64> = net.capacitors.iter().map(|c| c.farads / dt_s).collect();
+        for (c, &g) in net.capacitors.iter().zip(&gc) {
+            stamp_conductance(unknown(c.a), unknown(c.b), g, |i, j, v| base.add(i, j, v));
+        }
+        for (j, &si) in connected.iter().enumerate() {
+            let br = nodes - 1 + j;
+            let node = unknown(net.sources[si].node).expect("sources never drive ground");
+            base.add(br, node, 1.0);
+            base.add(node, br, 1.0);
+        }
+        // Reserve every MOSFET stamp position, so that each Newton
+        // iteration adds its MOSFET terms without pattern bookkeeping.
+        for m in &net.mosfets {
+            for row in [m.d, m.s].into_iter().filter_map(unknown) {
+                for col in [m.d, m.g, m.s].into_iter().filter_map(unknown) {
+                    base.reserve(row, col);
+                }
+            }
+        }
+        Workspace {
+            dt_ns,
+            connected,
+            gc,
+            g: base.clone(),
+            base,
+            rhs: vec![0.0; n],
+            x: vec![0.0; n],
+            v: vec![0.0; nodes],
+        }
+    }
+}
+
+/// Unknown index of a node: node `k ≥ 1` is unknown `k − 1`; ground has
+/// none.
+fn unknown(node: usize) -> Option<usize> {
+    node.checked_sub(1)
+}
+
+/// Stamps conductance `cond` between unknowns `a` and `b` (`None` =
+/// ground) through `add`.
+fn stamp_conductance(
+    a: Option<usize>,
+    b: Option<usize>,
+    cond: f64,
+    mut add: impl FnMut(usize, usize, f64),
+) {
     if let Some(a) = a {
-        g.add(a, a, cond);
+        add(a, a, cond);
     }
     if let Some(b) = b {
-        g.add(b, b, cond);
+        add(b, b, cond);
     }
     if let (Some(a), Some(b)) = (a, b) {
-        g.add(a, b, -cond);
-        g.add(b, a, -cond);
+        add(a, b, -cond);
+        add(b, a, -cond);
     }
 }
 

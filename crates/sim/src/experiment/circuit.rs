@@ -11,13 +11,31 @@ use clr_core::paper::TABLE1;
 use crate::report::Table;
 use crate::scale::Scale;
 
-/// Runs the Table 1 measurement: nominal at smoke scale, Monte-Carlo
-/// worst case otherwise.
+/// Most Monte-Carlo iterations [`run_table1`] runs, whatever the scale
+/// asks for (the paper's §7.1 uses 10⁴).
+const TABLE1_MC_CAP: usize = 200;
+
+/// The paper's Monte-Carlo iteration count (§7.1).
+const PAPER_MC_ITERATIONS: usize = 10_000;
+
+/// Monte-Carlo iterations [`run_table1`] runs at `scale`: none at smoke
+/// scale (nominal parameters), otherwise the scale's count capped at
+/// [`TABLE1_MC_CAP`].
+fn table1_iterations(scale: Scale) -> usize {
+    match scale {
+        Scale::Smoke => 0,
+        _ => scale.monte_carlo_iterations().min(TABLE1_MC_CAP),
+    }
+}
+
+/// Runs the Table 1 measurement: nominal at smoke scale, otherwise the
+/// Monte-Carlo worst case over the scale's iteration count, capped at
+/// 200 ([`render_table1`] states the count and the cap).
 pub fn run_table1(scale: Scale, seed: u64) -> Table1Measurement {
     let p = CircuitParams::default_22nm();
-    match scale {
-        Scale::Smoke => measure_table1(&p),
-        _ => worst_case_table1(&p, scale.monte_carlo_iterations().min(200), seed),
+    match table1_iterations(scale) {
+        0 => measure_table1(&p),
+        iterations => worst_case_table1(&p, iterations, seed),
     }
 }
 
@@ -28,6 +46,7 @@ pub fn render_table1(m: &Table1Measurement, scale: Scale) -> String {
         "Table 1 — reduction in major DRAM timing parameters (scale: {})\n\n",
         scale.label()
     ));
+    out.push_str(&monte_carlo_line(scale));
     let mut t = Table::new(vec![
         "parameter",
         "baseline",
@@ -85,6 +104,27 @@ pub fn render_table1(m: &Table1Measurement, scale: Scale) -> String {
          the mode-vs-baseline reductions are the topology-governed result.\n",
     );
     out
+}
+
+/// States how many Monte-Carlo iterations [`run_table1`] ran at `scale`,
+/// against the paper's 10⁴, and names the cap when it cut the scale's
+/// count.
+fn monte_carlo_line(scale: Scale) -> String {
+    let ran = table1_iterations(scale);
+    let asked = scale.monte_carlo_iterations();
+    if ran == 0 {
+        format!(
+            "Monte-Carlo: none, nominal parameters \
+             (paper: worst case of {PAPER_MC_ITERATIONS} iterations)\n\n"
+        )
+    } else if ran < asked {
+        format!(
+            "Monte-Carlo: worst case of {ran} iterations, capped at {TABLE1_MC_CAP} from the \
+             {asked} this scale asks for (paper: {PAPER_MC_ITERATIONS})\n\n"
+        )
+    } else {
+        format!("Monte-Carlo: worst case of {ran} iterations (paper: {PAPER_MC_ITERATIONS})\n\n")
+    }
 }
 
 /// Captures the Figure 7 waveforms: baseline vs high-performance mode
@@ -221,8 +261,25 @@ mod tests {
         let s = render_table1(&m, Scale::Smoke);
         assert!(s.contains("tRCD"));
         assert!(s.contains("paper"));
+        assert!(s.contains("Monte-Carlo: none, nominal parameters"));
         let (rcd, ras, rp, wr) = m.reductions();
         assert!(rcd > 0.3 && ras > 0.4 && rp > 0.25 && wr > 0.1);
+    }
+
+    #[test]
+    fn table1_states_its_monte_carlo_count_and_cap() {
+        assert_eq!(table1_iterations(Scale::Smoke), 0);
+        assert_eq!(table1_iterations(Scale::Default), 200);
+        assert_eq!(table1_iterations(Scale::Full), TABLE1_MC_CAP);
+        assert_eq!(
+            monte_carlo_line(Scale::Default),
+            "Monte-Carlo: worst case of 200 iterations (paper: 10000)\n\n"
+        );
+        let full = monte_carlo_line(Scale::Full);
+        assert!(
+            full.contains("200 iterations, capped at 200 from the 10000"),
+            "{full}"
+        );
     }
 
     #[test]
