@@ -1,13 +1,13 @@
 //! Fleet-scale batched simulation report (`clr-dram/fleet/v2`).
 //!
 //! Synthesizes a deterministic heterogeneous roster
-//! ([`FleetSpec::synth`]), pushes every instance through one shared
-//! persistent executor as whole-instance jobs, fuses the fleet
-//! read-latency distribution / slowdowns / capacity / energy / blame
-//! budgets / skip-ahead profile, and evaluates the relocation-aware
-//! fleet SLO (background instances gated at the doubled fleet
-//! slowdown bound; stall-mode instances reported against the sweep
-//! bound but `expected_fail`-annotated — see `fleet_slo_spec`).
+//! ([`FleetSpec::synth`]), runs every instance as a whole-instance job
+//! on one executor pool, fuses the fleet read-latency distribution /
+//! slowdowns / capacity / energy / blame budgets / skip-ahead profile,
+//! and evaluates the relocation-aware fleet SLO (background instances
+//! gated at the doubled fleet slowdown bound; stall-mode instances
+//! reported against the sweep bound but `expected_fail`-annotated — see
+//! `fleet_slo_spec`).
 //! Writes the deterministic JSON to `BENCH_fleet.json`.
 //!
 //! Knobs:
@@ -15,8 +15,10 @@
 //! * `CLR_FLEET_N` — instance count (default 256);
 //! * `CLR_THREADS` — pool threads requested (clamped to the host's
 //!   available parallelism, default 1);
-//! * `CLR_FLEET_CHECK=1` — re-run the fleet on a 1-lane pool and
-//!   assert the JSON is byte-identical (the CI determinism gate).
+//! * `CLR_FLEET_CHECK=1` — re-run the fleet on a 1-lane pool, assert
+//!   the JSON is byte-identical (the CI determinism gate), and print the
+//!   job-level pool scaling (1-lane host time over pool host time;
+//!   recorded, not gated).
 //!
 //! Host wall-clock goes to stdout only — the JSON is a pure function
 //! of `(roster, seed, scale)`, so the determinism check is a string
@@ -93,14 +95,18 @@ fn main() {
     if std::env::var("CLR_FLEET_CHECK").is_ok() {
         let t1 = std::time::Instant::now();
         let serial = run_fleet(&spec, 1).to_json();
+        let serial_s = t1.elapsed().as_secs_f64();
         assert_eq!(
             json, serial,
             "fleet JSON must be byte-identical across pool sizes"
         );
         println!(
-            "  determinism check: pool={} == pool=1, byte-identical ({:.2}s host)",
-            pool_threads,
-            t1.elapsed().as_secs_f64(),
+            "  determinism check: pool={pool_threads} == pool=1, byte-identical ({serial_s:.2}s host)",
+        );
+        println!(
+            "  pool scaling: {:.2}x at {} lanes",
+            serial_s / host_s,
+            report.pool_threads_effective,
         );
     }
 

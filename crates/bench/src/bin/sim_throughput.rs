@@ -1,6 +1,6 @@
 //! Simulation-throughput benchmark: host wall-clock speed of the
-//! full-system simulator across walk modes and worker-thread counts
-//! (`clr-dram/sim-throughput/v3`).
+//! full-system simulator, per-cycle vs skip-ahead walk
+//! (`clr-dram/sim-throughput/v4`).
 //!
 //! Three scenarios bracket the design space:
 //!
@@ -12,19 +12,14 @@
 //!   where the DRAM sits idle between bursts and the CPU stalls on
 //!   isolated misses: long dead windows, the skip-ahead *headline*.
 //! * **contention-4c2ch** — the 4-core × 2-channel contention cell
-//!   (hysteresis, demand-proportional split), additionally run with two
-//!   worker threads (`threads=2`): the multi-channel walk the persistent
-//!   executor exists for. The threaded lane runs with the production
-//!   resolve-time clamp on, so the v3 **executor axis** records both the
-//!   requested and the effective thread count per mode — on a 1-core
-//!   host the lane clamps to serial (no fan-out, no regression), and the
-//!   bench asserts exactly that.
+//!   (hysteresis, demand-proportional split): the multi-channel shape,
+//!   where the walk/merge split shows what channel sharding costs.
 //!
-//! Each scenario runs a per-cycle reference then the skip-ahead walk at
-//! each thread count, verifies every mode is statistically bit-identical
-//! (the skip-ahead *and* threading contracts), and reports simulated
-//! DRAM cycles/second plus the per-phase host-time breakdown (channel
-//! walk vs completion merge vs policy epochs). Every mode ladder is run
+//! Each scenario runs a per-cycle reference then the skip-ahead walk,
+//! verifies both are statistically bit-identical (the skip-ahead
+//! contract), and reports simulated DRAM cycles/second plus the
+//! per-phase host-time breakdown (channel walk vs completion merge vs
+//! policy epochs). Every mode ladder is run
 //! for several *interleaved* repetitions and each mode keeps its
 //! fastest sample: host clock-speed drift hits all modes instead of
 //! whichever happened to run last, and the minimum is the standard
@@ -52,11 +47,6 @@ use clr_trace::workload::Workload;
 
 struct Sample {
     mode: &'static str,
-    /// Worker threads the mode asked for.
-    threads_requested: usize,
-    /// Worker threads the walk ran with after the resolve-time clamp
-    /// against the host's available parallelism.
-    threads_effective: usize,
     wall_s: f64,
     loop_s: f64,
     /// Host seconds inside the memory-side channel walk.
@@ -84,8 +74,8 @@ impl Sample {
     }
 }
 
-/// One scenario's mode ladder: `modes[0]` is always the per-cycle
-/// reference; later entries are skip-ahead at increasing thread counts.
+/// One scenario's mode ladder: `modes[0]` is the per-cycle reference,
+/// `modes[1]` the skip-ahead walk.
 struct Scenario {
     name: &'static str,
     workload: String,
@@ -93,27 +83,9 @@ struct Scenario {
 }
 
 impl Scenario {
-    /// Skip-ahead (serial) over the per-cycle reference.
+    /// Skip-ahead over the per-cycle reference.
     fn speedup(&self) -> f64 {
         self.modes[0].loop_s / self.modes[1].loop_s
-    }
-
-    /// The threaded mode's speedup over the per-cycle reference, when
-    /// the scenario ran one.
-    fn speedup_threaded(&self) -> Option<f64> {
-        self.modes
-            .iter()
-            .find(|s| s.threads_requested > 1)
-            .map(|s| self.modes[0].loop_s / s.loop_s)
-    }
-
-    /// Serial-skip over threaded-skip wall time (how much the worker
-    /// pool itself buys at this event density).
-    fn thread_scaling(&self) -> Option<f64> {
-        self.modes
-            .iter()
-            .find(|s| s.threads_requested > 1)
-            .map(|s| self.modes[1].loop_s / s.loop_s)
     }
 
     fn identical(&self) -> bool {
@@ -151,8 +123,6 @@ fn run_saturated(mode: &'static str, skip_ahead: bool, scale: Scale) -> Sample {
     let r = run_policy_workloads(&[phase_workload(scale)], &cfg);
     Sample {
         mode,
-        threads_requested: r.run.threads_requested,
-        threads_effective: r.run.threads_effective,
         wall_s: start.elapsed().as_secs_f64(),
         loop_s: r.run.host_loop_s,
         walk_s: r.run.host_walk_s,
@@ -182,13 +152,10 @@ fn run_light(mode: &'static str, skip_ahead: bool, scale: Scale) -> Sample {
         42,
     );
     cfg.skip_ahead = skip_ahead;
-    cfg.threads = 1;
     let start = Instant::now();
     let r = run_workloads(&[light_workload()], &cfg);
     Sample {
         mode,
-        threads_requested: r.threads_requested,
-        threads_effective: r.threads_effective,
         wall_s: start.elapsed().as_secs_f64(),
         loop_s: r.host_loop_s,
         walk_s: r.host_walk_s,
@@ -201,8 +168,8 @@ fn run_light(mode: &'static str, skip_ahead: bool, scale: Scale) -> Sample {
 
 /// The 4-core × 2-channel contention cell (hysteresis policy,
 /// demand-proportional budget split, paced background relocation) — the
-/// smoke roster's headline cell and the threaded walk's target shape.
-fn run_contention(mode: &'static str, skip_ahead: bool, threads: usize, scale: Scale) -> Sample {
+/// smoke roster's headline cell.
+fn run_contention(mode: &'static str, skip_ahead: bool, scale: Scale) -> Sample {
     let mut mem = policy_mem_config(0.0);
     mem.geometry.channels = 2;
     mem.refresh_enabled = true;
@@ -216,9 +183,7 @@ fn run_contention(mode: &'static str, skip_ahead: bool, threads: usize, scale: S
         skip_ahead,
         trace: None,
         metrics: None,
-        threads,
-        // The production clamp stays on: this lane is the bench's proof
-        // that a thread request past the host's cores does not fan out.
+        threads: 1,
         clamp_threads: true,
         blame: false,
     };
@@ -234,8 +199,6 @@ fn run_contention(mode: &'static str, skip_ahead: bool, threads: usize, scale: S
     let r = run_policy_workloads(&workloads, &cfg);
     Sample {
         mode,
-        threads_requested: r.run.threads_requested,
-        threads_effective: r.run.threads_effective,
         wall_s: start.elapsed().as_secs_f64(),
         loop_s: r.run.host_loop_s,
         walk_s: r.run.host_walk_s,
@@ -244,18 +207,6 @@ fn run_contention(mode: &'static str, skip_ahead: bool, threads: usize, scale: S
         ipc: r.run.ipc,
         mem: r.run.mem,
     }
-}
-
-/// Worker count for the contention cell's threaded lane: `CLR_THREADS`
-/// when it asks for real parallelism, else two (one worker per channel
-/// shard). CI pins `CLR_THREADS=2` so the threaded path runs on every
-/// push regardless of runner defaults.
-fn threaded_workers() -> usize {
-    std::env::var("CLR_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 2)
-        .unwrap_or(2)
 }
 
 /// Runs a scenario's mode ladder `reps` times round-robin, keeping each
@@ -274,18 +225,11 @@ fn run_ladder(reps: usize, runners: &[&dyn Fn() -> Sample]) -> Vec<Sample> {
     best.into_iter().map(|s| s.expect("reps >= 1")).collect()
 }
 
-fn json_report(
-    scale: Scale,
-    scenarios: &[Scenario],
-    host_parallelism: usize,
-    gate_enforced: bool,
-) -> String {
+fn json_report(scale: Scale, scenarios: &[Scenario]) -> String {
     let mut j = String::new();
     let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"schema\": \"clr-dram/sim-throughput/v3\",");
+    let _ = writeln!(j, "  \"schema\": \"clr-dram/sim-throughput/v4\",");
     let _ = writeln!(j, "  \"scale\": \"{}\",", scale.label());
-    let _ = writeln!(j, "  \"host_parallelism\": {host_parallelism},");
-    let _ = writeln!(j, "  \"gate_enforced\": {gate_enforced},");
     let _ = writeln!(j, "  \"scenarios\": [");
     for (i, sc) in scenarios.iter().enumerate() {
         let _ = writeln!(j, "    {{");
@@ -295,14 +239,11 @@ fn json_report(
         for (k, s) in sc.modes.iter().enumerate() {
             let _ = writeln!(
                 j,
-                "        {{\"mode\": \"{}\", \"threads_requested\": {}, \
-                 \"threads_effective\": {}, \"wall_s\": {:.6}, \
+                "        {{\"mode\": \"{}\", \"wall_s\": {:.6}, \
                  \"loop_s\": {:.6}, \"walk_s\": {:.6}, \"merge_s\": {:.6}, \
                  \"policy_s\": {:.6}, \"dram_cycles\": {}, \"requests\": {}, \
                  \"sim_cycles_per_sec\": {:.1}, \"requests_per_sec\": {:.1}}}{}",
                 s.mode,
-                s.threads_requested,
-                s.threads_effective,
                 s.wall_s,
                 s.loop_s,
                 s.walk_s,
@@ -324,14 +265,6 @@ fn json_report(
             sc.modes[0].mem.read_latency_hist.p99()
         );
         let _ = writeln!(j, "      \"speedup\": {:.4},", sc.speedup());
-        if let Some(st) = sc.speedup_threaded() {
-            let _ = writeln!(j, "      \"speedup_threaded\": {st:.4},");
-            let _ = writeln!(
-                j,
-                "      \"thread_scaling\": {:.4},",
-                sc.thread_scaling().unwrap()
-            );
-        }
         let _ = writeln!(j, "      \"bit_identical\": {}", sc.identical());
         let _ = writeln!(
             j,
@@ -345,7 +278,7 @@ fn json_report(
 }
 
 fn main() {
-    let scale = clr_bench::startup("simulation throughput (walk modes x threads)");
+    let scale = clr_bench::startup("simulation throughput (per-cycle vs skip-ahead)");
     let reps = match scale {
         Scale::Full => 2,
         _ => 3,
@@ -376,13 +309,9 @@ fn main() {
             workload: "4core/2ch:contention-mix".into(),
             modes: run_ladder(
                 reps,
-                &[
-                    &|| run_contention("per-cycle", false, 1, scale),
-                    &|| run_contention("skip-ahead", true, 1, scale),
-                    // CI drives this lane with CLR_THREADS=2 explicitly;
-                    // any larger env value widens the pool.
-                    &|| run_contention("skip-ahead", true, threaded_workers(), scale),
-                ],
+                &[&|| run_contention("per-cycle", false, scale), &|| {
+                    run_contention("skip-ahead", true, scale)
+                }],
             ),
         },
     ];
@@ -390,9 +319,8 @@ fn main() {
     for sc in &scenarios {
         println!("scenario: {} ({})", sc.name, sc.workload);
         println!(
-            "  {:<11} {:>3} {:>9} {:>9} {:>8} {:>8} {:>8} {:>13} {:>15}",
+            "  {:<11} {:>9} {:>9} {:>8} {:>8} {:>8} {:>13} {:>15}",
             "mode",
-            "thr",
             "wall(s)",
             "loop(s)",
             "walk(s)",
@@ -403,9 +331,8 @@ fn main() {
         );
         for s in &sc.modes {
             println!(
-                "  {:<11} {:>3} {:>9.3} {:>9.3} {:>8.3} {:>8.3} {:>8.3} {:>13} {:>15.0}",
+                "  {:<11} {:>9.3} {:>9.3} {:>8.3} {:>8.3} {:>8.3} {:>13} {:>15.0}",
                 s.mode,
-                s.threads_effective,
                 s.wall_s,
                 s.loop_s,
                 s.walk_s,
@@ -415,83 +342,31 @@ fn main() {
                 s.cycles_per_sec(),
             );
         }
-        print!("  speedup: {:.2}x", sc.speedup());
-        if let Some(st) = sc.speedup_threaded() {
-            print!(
-                " | threaded: {:.2}x (walk scaling {:.2}x)",
-                st,
-                sc.thread_scaling().unwrap()
-            );
-        }
-        println!(" | statistics bit-identical: {}\n", sc.identical());
+        println!(
+            "  speedup: {:.2}x | statistics bit-identical: {}\n",
+            sc.speedup(),
+            sc.identical()
+        );
         assert!(
             sc.identical(),
             "a walk mode diverged from the per-cycle reference — simulator bug"
         );
         if sc.name == "contention-4c2ch" {
             // Background-paced relocation must stay off the demand
-            // critical path: zero stall cycles in every mode, serial or
-            // threaded.
+            // critical path: zero stall cycles in every mode.
             for s in &sc.modes {
                 assert_eq!(
                     s.mem.relocation_stall_cycles, 0,
-                    "{} (threads={}) charged relocation stall cycles in the \
+                    "{} charged relocation stall cycles in the \
                      background-paced contention cell",
-                    s.mode, s.threads_effective
+                    s.mode
                 );
             }
         }
     }
 
-    // The executor axis: every mode's effective thread count must be
-    // the requested count clamped to the host's cores. On a 1-core host
-    // the threaded lane therefore runs serial — the pool never fans out
-    // past physical parallelism, which is the fix for the 2-thread
-    // regression v2 measured (thread_scaling 0.92 with spawned workers
-    // serializing on one core).
-    let host_parallelism = clr_sim::host_parallelism();
-    for sc in &scenarios {
-        for s in &sc.modes {
-            assert_eq!(
-                s.threads_effective,
-                s.threads_requested.min(host_parallelism),
-                "{}/{}: resolve-time clamp not applied",
-                sc.name,
-                s.mode
-            );
-        }
-    }
-
-    // The threaded contention cell is the PR gate: skip-ahead with two
-    // workers must clear 2x over the per-cycle reference. The gate is a
-    // wall-clock claim about parallel execution, so it is only
-    // *enforced* where it is physically meaningful: from the default
-    // scale up (smoke cells finish in milliseconds, pure timer noise)
-    // and on hosts where two workers can actually overlap
-    // (`available_parallelism` >= 2 — on a single-core host the clamp
-    // resolves the threaded lane to serial and the ratio measures
-    // scheduler jitter, not the walk). The measured ratio and whether
-    // it was enforced are always recorded in the JSON.
-    let contention = &scenarios[2];
-    let gate = contention
-        .speedup_threaded()
-        .expect("contention scenario runs a threaded mode");
-    let enforced = scale != Scale::Smoke && host_parallelism >= 2;
-    if enforced {
-        assert!(
-            gate >= 2.0,
-            "threaded contention cell below the 2x gate: {gate:.2}x"
-        );
-    } else {
-        println!(
-            "(2x contention gate reported, not enforced: {gate:.2}x; \
-             scale={}, host parallelism={host_parallelism})",
-            scale.label()
-        );
-    }
-
-    let json = json_report(scale, &scenarios, host_parallelism, enforced);
-    println!("--- machine-readable (clr-dram/sim-throughput/v3) ---");
+    let json = json_report(scale, &scenarios);
+    println!("--- machine-readable (clr-dram/sim-throughput/v4) ---");
     print!("{json}");
     let out = "BENCH_sim_throughput.json";
     match std::fs::write(out, &json) {

@@ -22,7 +22,7 @@ use clr_sim::experiment::policies::{
 };
 use clr_sim::policyrun::{run_policy_workloads, PolicyRunConfig, PolicyRunResult};
 use clr_sim::scale::Scale;
-use clr_sim::system::{threads_from_env, RunConfig};
+use clr_sim::system::RunConfig;
 use memsim::frames::DestinationPicker;
 use memsim::migrate::RelocationConfig;
 
@@ -48,7 +48,7 @@ fn run(scale: Scale, metrics: Option<MetricsConfig>, blame: bool) -> PolicyRunRe
         skip_ahead: std::env::var("CLR_FORCE_PER_CYCLE").is_err(),
         trace: None,
         metrics,
-        threads: threads_from_env(),
+        threads: 1,
         clamp_threads: true,
         blame,
     };

@@ -1,14 +1,13 @@
 //! Fleet-scale batched simulation: hundreds to thousands of
-//! heterogeneous CLR-DRAM instances through one persistent executor.
+//! heterogeneous CLR-DRAM instances as jobs on one executor.
 //!
 //! A *fleet* models an operator's view of CLR-DRAM: many independent
 //! small systems — per-tenant workload mixes, seeds, geometries,
 //! relocation models, and mode-management policies all varying across
-//! instances — simulated as whole-instance jobs on the same
-//! [`Executor`](clr_memsim::Executor) pool that powers the in-run
-//! channel walk. Each instance is a complete
-//! [`clr_sim`] run (optionally with a [`clr_policy`] runtime in the
-//! loop); the fleet layer adds:
+//! instances — simulated as whole-instance jobs on the workspace's one
+//! job runner, [`Executor`](clr_memsim::Executor). Each instance is a
+//! complete [`clr_sim`] run (optionally with a [`clr_policy`] runtime in
+//! the loop); the fleet layer adds:
 //!
 //! * **deterministic synthesis** — [`FleetSpec::synth`] expands a
 //!   `(count, seed, scale)` triple into a reproducible heterogeneous

@@ -1,12 +1,11 @@
-//! Batched fleet execution over the persistent executor.
+//! Batched fleet execution on the [`Executor`].
 //!
 //! [`run_fleet`] turns every [`InstanceSpec`] into one whole-instance
-//! job on a shared [`Executor`] pool. Jobs are self-contained (each
-//! simulates its own system, plus alone-run baselines for multi-tenant
-//! slowdowns) and [`Executor::run_batch`] returns results in task
-//! order, so the fused report is bit-identical for any pool size —
-//! pool threads are a host-speed knob, exactly like the in-run channel
-//! walk's `threads`.
+//! job. Jobs are self-contained (each simulates its own system, plus
+//! alone-run baselines for multi-tenant slowdowns) and
+//! [`Executor::run_batch`] returns results in task order, so the fused
+//! report is bit-identical for any pool size — pool threads are a
+//! host-speed knob only.
 
 use clr_memsim::migrate::RelocationConfig;
 use clr_memsim::Executor;
@@ -38,8 +37,6 @@ fn instance_run_config(spec: &InstanceSpec, tenant_budget: u64, seed: u64) -> Ru
         skip_ahead: true,
         trace: None,
         metrics: None,
-        // Instances are the unit of parallelism here; their internal
-        // channel walk stays serial (1–2 channels, tiny windows).
         threads: 1,
         clamp_threads: true,
         // Attribution on for every instance: the fleet report fuses
@@ -115,10 +112,9 @@ pub fn run_instance(spec: &InstanceSpec) -> InstanceResult {
     }
 }
 
-/// Runs the whole fleet through one shared pool and fuses the report.
+/// Runs the whole fleet through one pool and fuses the report.
 ///
-/// `pool_threads` is clamped to the host's available parallelism (the
-/// same resolve-time clamp as [`RunConfig::clamp_threads`]) — on a
+/// `pool_threads` is clamped to the host's available parallelism — on a
 /// 1-core host every instance runs inline on the submitting thread.
 /// The returned report is byte-for-byte identical for every
 /// `pool_threads` value: jobs are independent and results come back in
@@ -129,8 +125,7 @@ pub fn run_fleet(spec: &FleetSpec, pool_threads: usize) -> FleetReport {
     let tasks: Vec<_> = spec
         .instances
         .iter()
-        .cloned()
-        .map(|inst| move || run_instance(&inst))
+        .map(|inst| move || run_instance(inst))
         .collect();
     let instances = pool.run_batch(tasks);
     FleetReport::fuse(spec, instances, pool_threads, lanes)
@@ -142,9 +137,9 @@ mod tests {
     use clr_sim::Scale;
 
     /// The determinism contract at crate level: the fused JSON is
-    /// byte-identical whether instances run inline (1 lane) or through
-    /// parked pool workers. (The root-level `fleet_determinism` test
-    /// covers larger rosters and more pool sizes.)
+    /// byte-identical whether instances run inline (1 lane) or on pool
+    /// threads. (The root-level `fleet_determinism` test covers larger
+    /// rosters and more pool sizes.)
     #[test]
     fn pool_size_does_not_change_the_report() {
         let spec = FleetSpec::synth(6, 11, Scale::Smoke);
@@ -155,8 +150,7 @@ mod tests {
         let tasks: Vec<_> = spec
             .instances
             .iter()
-            .cloned()
-            .map(|inst| move || run_instance(&inst))
+            .map(|inst| move || run_instance(inst))
             .collect();
         let b = FleetReport::fuse(&spec, pool.run_batch(tasks), 3, 3);
         assert_eq!(a.to_json(), b.to_json());

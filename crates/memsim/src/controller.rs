@@ -313,8 +313,8 @@ impl MemoryController {
     /// cause and a resume cycle, re-derived only at the boundaries every
     /// walk executes identically (enqueues, state-changing ticks, mode
     /// applications, migration dispatches) — dead cycles and dead-window
-    /// jumps charge nothing at the time they elapse, so per-cycle,
-    /// skip-ahead, and threaded walks charge identical budgets.
+    /// jumps charge nothing at the time they elapse, so per-cycle and
+    /// skip-ahead walks charge identical budgets.
     pub fn enable_blame(&mut self) {
         self.blame_enabled = true;
     }
@@ -399,8 +399,7 @@ impl MemoryController {
     /// same simulation executes identically — successful enqueues,
     /// state-changing ticks, mode applications, and migration
     /// dispatches — so the settled spans (and hence the final budgets)
-    /// are bit-identical across per-cycle, skip-ahead, and threaded
-    /// walks.
+    /// are bit-identical across per-cycle and skip-ahead walks.
     fn reblame_queues(&mut self) {
         if !self.blame_enabled || (self.read_q.is_empty() && self.write_q.is_empty()) {
             return;

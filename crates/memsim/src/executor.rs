@@ -1,222 +1,85 @@
-//! Persistent worker pool for the channel walk and fleet batching.
+//! The workspace's one job runner: whole simulations (fleet instances,
+//! sweep cells) run as independent tasks over a fixed number of lanes.
 //!
-//! [`Executor`] replaces the per-window `std::thread::scope` fan-out the
-//! sharded walk used to pay (spawning a scoped worker costs tens of µs —
-//! more than walking thousands of dead cycles): workers are spawned
-//! **once**, park on a condvar, and wake to a queue push, so fanning a
-//! window out costs a lock + notify instead of a thread spawn. The same
-//! pool batches *whole-instance* jobs between simulations — the
-//! `clr-fleet` crate runs hundreds of independent `MemorySystem`
-//! instances through one shared executor.
-//!
-//! Design constraints, in order:
-//!
-//! * **Determinism** — [`Executor::run_batch`] returns results in task
-//!   order (each job writes its own slot, indexed by submission order),
-//!   so callers observe identical output whatever the interleaving of
-//!   workers. Thread count and pool sharing are host-speed knobs only.
-//! * **No unsafe, no new deps** — jobs own their data (`'static`), so
-//!   the pool needs no scoped lifetimes: the channel walk *moves* each
-//!   [`MemoryController`](crate::controller::MemoryController) into its
-//!   job and back out through the result slot.
-//! * **The submitter helps** — the calling thread executes queued jobs
-//!   while it waits, so a pool of `lanes` runs `lanes` jobs concurrently
-//!   with only `lanes - 1` parked workers, and a 1-lane executor
-//!   degenerates to exact inline serial execution (no threads at all).
-//! * **Panics propagate** — a panicking job (e.g. a timing-protocol
-//!   violation, which panics by design) is caught on the worker, carried
-//!   through its result slot, and re-raised on the submitting thread,
-//!   matching `std::thread::scope` semantics instead of deadlocking the
-//!   batch.
+//! [`Executor::run_batch`] spawns `lanes - 1` scoped threads for the
+//! batch and puts the calling thread to work beside them; every lane
+//! pulls the next task index from one atomic cursor. Results come back
+//! **in task order** whatever order lanes finished in, so lane count is
+//! a host-speed knob only. Tasks may borrow from the caller's stack
+//! (the scope joins every lane before `run_batch` returns). Every task
+//! runs even if another panics; the panic of the lowest-index panicking
+//! task is then re-raised on the caller.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-/// A queued unit of work: runs once on whichever lane pops it.
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// Tasks panic inside `catch_unwind`, never while holding a lock.
+const UNPOISONED: &str = "no lock is held across a task panic";
 
-/// Injector state shared by the submitter and every worker.
-struct State {
-    queue: VecDeque<Job>,
-    shutdown: bool,
-}
-
-struct Shared {
-    state: Mutex<State>,
-    /// Signaled on queue push and on shutdown.
-    work: Condvar,
-}
-
-/// One batch's result collector: slot per task (submission order) plus a
-/// completion latch the submitter waits on.
-struct Batch<T> {
-    state: Mutex<BatchState<T>>,
-    done: Condvar,
-}
-
-struct BatchState<T> {
-    slots: Vec<Option<std::thread::Result<T>>>,
-    remaining: usize,
-}
-
-impl<T> Batch<T> {
-    fn fill(&self, index: usize, value: std::thread::Result<T>) {
-        let mut st = self.state.lock().expect("batch lock poisoned");
-        debug_assert!(st.slots[index].is_none(), "slot filled twice");
-        st.slots[index] = Some(value);
-        st.remaining -= 1;
-        if st.remaining == 0 {
-            self.done.notify_all();
-        }
-    }
-}
-
-/// A persistent pool of parked worker threads executing batched jobs
-/// deterministically (see the module docs).
+/// A fixed-width batch runner (see the module docs).
+#[derive(Debug)]
 pub struct Executor {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
     lanes: usize,
 }
 
-impl std::fmt::Debug for Executor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Executor")
-            .field("lanes", &self.lanes)
-            .finish_non_exhaustive()
-    }
-}
-
 impl Executor {
-    /// A pool running up to `lanes` jobs concurrently: `lanes - 1`
-    /// parked worker threads plus the submitting thread, which helps
-    /// drain the queue inside [`Executor::run_batch`]. `lanes` is
-    /// clamped to ≥ 1; a 1-lane executor spawns no threads and runs
-    /// every batch inline.
+    /// A runner with up to `lanes` tasks in flight (clamped to ≥ 1): the
+    /// caller plus `lanes - 1` threads spawned per batch. A 1-lane
+    /// executor runs every batch inline on the caller.
     pub fn new(lanes: usize) -> Self {
-        let lanes = lanes.max(1);
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                queue: VecDeque::new(),
-                shutdown: false,
-            }),
-            work: Condvar::new(),
-        });
-        let workers = (1..lanes)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
         Executor {
-            shared,
-            workers,
-            lanes,
+            lanes: lanes.max(1),
         }
     }
 
-    /// Concurrent job lanes (worker threads + the helping submitter).
+    /// Concurrent task lanes (spawned threads + the caller).
     pub fn lanes(&self) -> usize {
         self.lanes
     }
 
-    /// Runs every task on the pool and returns their results **in task
-    /// order**, whatever order lanes finished in. Blocks until the whole
-    /// batch is done; the calling thread executes queued jobs while it
-    /// waits. If any task panicked, the panic is re-raised here after
-    /// the rest of the batch completes.
+    /// Runs every task and returns their results in task order. Blocks
+    /// until the whole batch is done; if any task panicked, the
+    /// lowest-index panic is re-raised here after the rest completed.
     pub fn run_batch<T, F>(&self, tasks: Vec<F>) -> Vec<T>
     where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
+        T: Send,
+        F: FnOnce() -> T + Send,
     {
         let n = tasks.len();
-        if self.lanes == 1 || n <= 1 {
-            // Inline serial execution: nothing to coordinate.
-            return tasks.into_iter().map(|t| t()).collect();
-        }
-        let batch = Arc::new(Batch {
-            state: Mutex::new(BatchState {
-                slots: (0..n).map(|_| None).collect(),
-                remaining: n,
-            }),
-            done: Condvar::new(),
+        let tasks: Vec<_> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
+        let slots: Vec<_> = (0..n).map(|_| Mutex::new(None)).collect();
+        // Relaxed: the cursor only hands out indices; tasks and results
+        // travel through the mutexes and the scope's join.
+        let cursor = AtomicUsize::new(0);
+        let lane = || loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(task) = tasks.get(i) else { return };
+            let task = task.lock().expect(UNPOISONED).take();
+            let result = catch_unwind(AssertUnwindSafe(task.expect("each task runs once")));
+            *slots[i].lock().expect(UNPOISONED) = Some(result);
+        };
+        std::thread::scope(|s| {
+            for _ in 1..self.lanes.min(n) {
+                s.spawn(lane);
+            }
+            lane();
         });
-        {
-            let mut st = self.shared.state.lock().expect("executor lock poisoned");
-            for (i, task) in tasks.into_iter().enumerate() {
-                let batch = Arc::clone(&batch);
-                st.queue.push_back(Box::new(move || {
-                    batch.fill(i, catch_unwind(AssertUnwindSafe(task)));
-                }));
-            }
-        }
-        self.shared.work.notify_all();
-        // Help: drain queued jobs (this batch's, or — with a shared pool
-        // — any other batch's) until the queue is empty.
-        loop {
-            let job = {
-                let mut st = self.shared.state.lock().expect("executor lock poisoned");
-                st.queue.pop_front()
-            };
-            match job {
-                Some(job) => job(),
-                None => break,
-            }
-        }
-        // Wait for stragglers still running on workers.
-        let mut st = batch.state.lock().expect("batch lock poisoned");
-        while st.remaining > 0 {
-            st = batch.done.wait(st).expect("batch lock poisoned");
-        }
-        st.slots
-            .iter_mut()
-            .map(|slot| slot.take().expect("every batch slot filled exactly once"))
-            .collect::<Vec<_>>()
+        slots
             .into_iter()
-            .map(|r| match r {
-                Ok(v) => v,
-                Err(payload) => resume_unwind(payload),
+            .map(|slot| {
+                slot.into_inner()
+                    .expect(UNPOISONED)
+                    .expect("every task ran")
             })
+            .map(|result| result.unwrap_or_else(|payload| resume_unwind(payload)))
             .collect()
-    }
-}
-
-impl Drop for Executor {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().expect("executor lock poisoned");
-            st.shutdown = true;
-        }
-        self.shared.work.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    let mut st = shared.state.lock().expect("executor lock poisoned");
-    loop {
-        if let Some(job) = st.queue.pop_front() {
-            drop(st);
-            job();
-            st = shared.state.lock().expect("executor lock poisoned");
-            continue;
-        }
-        if st.shutdown {
-            return;
-        }
-        st = shared.work.wait(st).expect("executor lock poisoned");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn results_come_back_in_task_order() {
@@ -249,25 +112,20 @@ mod tests {
         let pool = Executor::new(3);
         let mk = || (0..8u64).map(|i| move || i * i).collect::<Vec<_>>();
         assert_eq!(serial.run_batch(mk()), pool.run_batch(mk()));
-        assert!(serial.workers.is_empty());
+        let caller = std::thread::current().id();
+        let ids = serial.run_batch(vec![|| std::thread::current().id(); 3]);
+        assert!(ids.iter().all(|&id| id == caller));
     }
 
     #[test]
-    fn pool_is_reused_across_batches() {
-        static RAN: AtomicUsize = AtomicUsize::new(0);
-        let pool = Executor::new(2);
-        for _ in 0..50 {
-            let tasks: Vec<_> = (0..4)
-                .map(|_| {
-                    || {
-                        RAN.fetch_add(1, Ordering::Relaxed);
-                    }
-                })
-                .collect();
-            pool.run_batch(tasks);
-        }
-        assert_eq!(RAN.load(Ordering::Relaxed), 200);
-        assert_eq!(pool.workers.len(), 1);
+    fn tasks_may_borrow_stack_data() {
+        let data: Vec<u64> = (1..=64).collect();
+        let chunks: Vec<&[u64]> = data.chunks(8).collect();
+        let tasks: Vec<_> = chunks.iter().map(|c| || c.iter().sum::<u64>()).collect();
+        let sums = Executor::new(3).run_batch(tasks);
+        assert_eq!(sums.len(), 8);
+        assert_eq!(sums.iter().sum::<u64>(), data.iter().sum::<u64>());
+        assert_eq!(sums[0], (1..=8).sum::<u64>());
     }
 
     #[test]
@@ -280,6 +138,34 @@ mod tests {
             Box::new(|| 3),
         ];
         pool.run_batch(tasks);
+    }
+
+    #[test]
+    fn every_task_runs_and_the_lowest_index_panic_wins() {
+        for lanes in [1, 3] {
+            let ran = AtomicUsize::new(0);
+            let tasks: Vec<_> = (0..8)
+                .map(|i| {
+                    let ran = &ran;
+                    move || {
+                        ran.fetch_add(1, Ordering::Relaxed);
+                        match i {
+                            2 => panic!("task 2"),
+                            5 => panic!("task 5"),
+                            _ => {}
+                        }
+                    }
+                })
+                .collect();
+            let err = catch_unwind(AssertUnwindSafe(|| Executor::new(lanes).run_batch(tasks)))
+                .expect_err("the batch must re-raise a task panic");
+            assert_eq!(
+                ran.load(Ordering::Relaxed),
+                8,
+                "every task ran at {lanes} lanes"
+            );
+            assert_eq!(err.downcast_ref::<&str>(), Some(&"task 2"));
+        }
     }
 
     #[test]

@@ -39,23 +39,11 @@ use clr_core::addr::{DramAddr, PhysAddr};
 use clr_core::geometry::DramGeometry;
 use clr_obs::{SkipProfile, TraceCategory, TraceConfig, TraceLog, TraceSink, SYSTEM_PID};
 
-use std::sync::Arc;
-
 use crate::config::MemConfig;
 use crate::controller::MemoryController;
-use crate::executor::Executor;
 use crate::migrate::{JobKind, PlacementEvent};
 use crate::request::{Completion, MemRequest};
 use crate::stats::MemStats;
-
-/// Minimum `tick_until` window (in DRAM cycles) worth fanning out to
-/// the worker pool. Fan-out on the persistent [`Executor`] costs a
-/// queue push + condvar wake (~1 µs) instead of the tens of µs a scoped
-/// thread spawn used to cost, so the break-even window is 4× lower than
-/// the old spawn-per-window cutover of 4096. Short windows still run
-/// serially — an invisible cutover, since the serial and pooled walks
-/// are bit-identical.
-pub const PARALLEL_MIN_WINDOW: u64 = 1024;
 
 /// Identity of one DRAM row in the sharded system: channel, channel-local
 /// flat bank, row.
@@ -173,23 +161,8 @@ pub struct MemorySystem {
     /// Per-channel cursors for the k-way completion merge (reused across
     /// calls so the merge allocates nothing).
     merge_idx: Vec<usize>,
-    /// Worker threads for the `tick_until` channel walk (1 = serial).
-    /// Parallelism is a host-speed knob only: the threaded walk is
-    /// bit-identical to the serial one (see [`MemorySystem::tick_until`]).
-    threads: usize,
-    /// The persistent worker pool the threaded walk fans out on —
-    /// created lazily by [`MemorySystem::set_threads`] (threads > 1) or
-    /// handed in by [`MemorySystem::set_executor`] so many systems (a
-    /// fleet) share one pool. `None` while the walk is serial.
-    executor: Option<Arc<Executor>>,
-    /// Minimum walk window (DRAM cycles) that fans out to workers;
-    /// defaults to [`PARALLEL_MIN_WINDOW`]. A tuning knob: tests drop it
-    /// to force the threaded path onto every window, and hosts with
-    /// cheaper or pricier thread spawns can move the break-even point.
-    parallel_cutover: u64,
-    /// Host nanoseconds spent walking channels inside `tick_until`
-    /// (serial loop or pooled walk) — the bench's per-phase
-    /// breakdown numerator.
+    /// Host nanoseconds spent walking channels inside `tick_until` —
+    /// the bench's per-phase breakdown numerator.
     walk_ns: u64,
     /// Host nanoseconds spent merging per-channel completion streams.
     merge_ns: u64,
@@ -241,9 +214,6 @@ impl MemorySystem {
             channels,
             scratch: vec![Vec::new(); n],
             merge_idx: vec![0; n],
-            threads: 1,
-            executor: None,
-            parallel_cutover: PARALLEL_MIN_WINDOW,
             walk_ns: 0,
             merge_ns: 0,
             slice: config.geometry.channel_slice(),
@@ -601,55 +571,16 @@ impl MemorySystem {
         }
     }
 
-    /// Sets the worker-thread count for [`MemorySystem::tick_until`]'s
-    /// channel walk (clamped to ≥ 1; 1 = the serial path). With
-    /// threads > 1 a persistent [`Executor`] is built once and reused
-    /// across every subsequent window — fan-out is a queue push, not a
-    /// thread spawn. Purely a host-speed knob: thread count never
-    /// changes a simulated outcome.
-    pub fn set_threads(&mut self, threads: usize) {
-        let threads = threads.max(1);
-        self.threads = threads;
-        if threads == 1 {
-            self.executor = None;
-        } else if self.executor.as_ref().map(|e| e.lanes()) != Some(threads) {
-            self.executor = Some(Arc::new(Executor::new(threads)));
-        }
-    }
-
-    /// Hands this system an existing worker pool (and adopts its lane
-    /// count as the thread setting), so many systems — a fleet — share
-    /// one executor instead of each spawning workers. Pool sharing is a
-    /// host-speed knob only: simulated outcomes are identical whether
-    /// the pool is private, shared, or absent.
-    pub fn set_executor(&mut self, executor: Arc<Executor>) {
-        self.threads = executor.lanes();
-        self.executor = Some(executor);
-    }
-
-    /// The pool the threaded walk runs on (`None` while serial).
-    pub fn executor(&self) -> Option<&Arc<Executor>> {
-        self.executor.as_ref()
-    }
-
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Overrides the minimum window fanned out to worker threads
-    /// (default [`PARALLEL_MIN_WINDOW`]). Purely a host-speed knob —
-    /// the cutover is invisible in every simulated outcome — but
-    /// differential tests drop it to `1` so the pooled walk runs
-    /// on every window instead of only the long ones.
-    pub fn set_parallel_cutover(&mut self, window: u64) {
-        self.parallel_cutover = window.max(1);
-    }
+    /// Does nothing: the channel walk is always serial. Kept so callers
+    /// that still pass a thread count compile; parallelism lives one
+    /// level up, in whole simulations run on
+    /// [`Executor`](crate::Executor).
+    pub fn set_threads(&mut self, _threads: usize) {}
 
     /// Host time spent inside [`MemorySystem::tick_until`] as
-    /// `(walk_seconds, merge_seconds)`: per-channel walking (serial loop
-    /// or pooled walk) vs the deterministic completion merge — the
-    /// per-phase breakdown `sim_throughput` v2 reports.
+    /// `(walk_seconds, merge_seconds)`: per-channel walking vs the
+    /// deterministic completion merge — the per-phase breakdown
+    /// `sim_throughput` reports.
     pub fn host_phase_seconds(&self) -> (f64, f64) {
         (self.walk_ns as f64 / 1e9, self.merge_ns as f64 / 1e9)
     }
@@ -658,21 +589,6 @@ impl MemorySystem {
     /// windows per channel and merging completions back into the
     /// per-cycle delivery order (`finish_cycle`, then channel index).
     /// Bit-identical to calling [`MemorySystem::tick`] in a loop.
-    ///
-    /// With [`MemorySystem::set_threads`] > 1, channels walk as one job
-    /// each on the persistent [`Executor`] — sound because channels
-    /// share no mutable state (each controller owns its mode table,
-    /// refresh streams, migration engine, scheduler lanes, trace sink,
-    /// and skip profile, and is *moved* into its job and back out
-    /// through its result slot, so there is no sharing to reason about
-    /// at all), and bit-identical because results return in channel
-    /// order and the deterministic `(finish_cycle, channel)` merge
-    /// erases completion arrival order. Each channel's completion
-    /// scratch `Vec` rides through its job and back, so steady-state
-    /// windows reallocate nothing. Short windows stay serial: even a
-    /// queue hand-off would dominate a walk of a few cycles, and the
-    /// serial and pooled walks agree exactly, so the cutover is
-    /// invisible.
     pub fn tick_until(&mut self, target: u64, completions: &mut Vec<Completion>) {
         if self.channels.len() == 1 {
             let t0 = std::time::Instant::now();
@@ -680,41 +596,10 @@ impl MemorySystem {
             self.walk_ns += t0.elapsed().as_nanos() as u64;
             return;
         }
-        let window = target.saturating_sub(self.cycle());
         let t0 = std::time::Instant::now();
-        if self.threads > 1 && window >= self.parallel_cutover {
-            let exec = Arc::clone(
-                self.executor
-                    .get_or_insert_with(|| Arc::new(Executor::new(self.threads))),
-            );
-            // Move each controller (and its completion scratch) into a
-            // pool job; reinstate both from the in-order result slots.
-            // The outer Vecs are kept and refilled, so the steady state
-            // allocates only the per-job boxes.
-            let mut channels = std::mem::take(&mut self.channels);
-            let mut scratch = std::mem::take(&mut self.scratch);
-            let tasks: Vec<_> = channels
-                .drain(..)
-                .zip(scratch.drain(..))
-                .map(|(mut ch, mut out)| {
-                    move || {
-                        out.clear();
-                        ch.tick_until(target, &mut out);
-                        (ch, out)
-                    }
-                })
-                .collect();
-            for (ch, out) in exec.run_batch(tasks) {
-                channels.push(ch);
-                scratch.push(out);
-            }
-            self.channels = channels;
-            self.scratch = scratch;
-        } else {
-            for (ch, out) in self.channels.iter_mut().zip(&mut self.scratch) {
-                out.clear();
-                ch.tick_until(target, out);
-            }
+        for (ch, out) in self.channels.iter_mut().zip(&mut self.scratch) {
+            out.clear();
+            ch.tick_until(target, out);
         }
         let t1 = std::time::Instant::now();
         self.walk_ns += (t1 - t0).as_nanos() as u64;
@@ -1014,102 +899,40 @@ mod tests {
     }
 
     #[test]
-    fn threaded_walk_is_bit_identical_to_serial() {
+    fn four_channel_tick_until_is_bit_identical_to_per_cycle() {
         use crate::migrate::RelocationConfig;
-        let run = |threads: usize| {
+        let run = |skip: bool| {
             let mut cfg = two_channel_cfg();
             cfg.geometry.channels = 4;
             cfg.relocation = RelocationConfig::background();
             let mut sys = MemorySystem::new(cfg);
-            sys.set_threads(threads);
-            // Fan out every window, not just cutover-sized ones.
-            sys.set_parallel_cutover(1);
             sys.enable_command_log();
             for req in line_requests(64, 64) {
                 sys.try_enqueue(req).unwrap();
             }
             sys.schedule_row_export(0, 0, 5, 1);
             let mut done = Vec::new();
-            sys.tick_until(20_000, &mut done);
-            sys.pump_placement();
-            sys.tick_until(40_000, &mut done);
-            sys.pump_placement();
+            for to in [20_000, 40_000] {
+                if skip {
+                    sys.tick_until(to, &mut done);
+                } else {
+                    while sys.cycle() < to {
+                        sys.tick(&mut done);
+                    }
+                }
+                sys.pump_placement();
+            }
             let logs: Vec<_> = (0..4)
                 .map(|c| sys.command_log(c).unwrap().to_vec())
                 .collect();
-            (
-                logs,
-                done,
-                sys.fused_stats(),
-                sys.fused_skip_profile(),
-                sys.remap_table().installs(),
-            )
+            (logs, done, sys.fused_stats(), sys.remap_table().installs())
         };
-        let serial = run(1);
-        for threads in [2, 3, 8] {
-            let threaded = run(threads);
-            assert_eq!(
-                serial.0, threaded.0,
-                "command logs diverge at threads={threads}"
-            );
-            assert_eq!(
-                serial.1, threaded.1,
-                "completions diverge at threads={threads}"
-            );
-            assert_eq!(
-                serial.2, threaded.2,
-                "statistics diverge at threads={threads}"
-            );
-            assert_eq!(
-                serial.3, threaded.3,
-                "skip profiles diverge at threads={threads}"
-            );
-            assert_eq!(serial.4, threaded.4);
-        }
-    }
-
-    #[test]
-    fn shared_executor_across_systems_is_bit_identical_to_private_pools() {
-        // One pool, many systems — the fleet usage pattern. Outcomes
-        // must match systems that each built their own pool (and the
-        // serial walk), and the pool must survive reuse across
-        // sequential simulations.
-        let exec = std::sync::Arc::new(Executor::new(3));
-        let run = |shared: Option<&std::sync::Arc<Executor>>, threads: usize| {
-            let cfg = two_channel_cfg();
-            let mut sys = MemorySystem::new(cfg);
-            match shared {
-                Some(e) => sys.set_executor(std::sync::Arc::clone(e)),
-                None => sys.set_threads(threads),
-            }
-            sys.set_parallel_cutover(1);
-            for req in line_requests(48, 64) {
-                sys.try_enqueue(req).unwrap();
-            }
-            let mut done = Vec::new();
-            sys.tick_until(30_000, &mut done);
-            (done, sys.fused_stats())
-        };
-        let serial = run(None, 1);
-        let private = run(None, 3);
-        assert_eq!(serial, private);
-        for _ in 0..3 {
-            assert_eq!(serial, run(Some(&exec), 0));
-        }
-        assert_eq!(std::sync::Arc::strong_count(&exec), 1, "pool released");
-    }
-
-    #[test]
-    fn parallel_cutover_default_is_at_most_1024() {
-        // The persistent pool makes fan-out cheap enough to engage on
-        // epoch-sized windows; the issue pins the ceiling.
-        const { assert!(PARALLEL_MIN_WINDOW <= 1024) };
-        let mut sys = MemorySystem::new(two_channel_cfg());
-        sys.set_threads(2);
-        assert_eq!(sys.threads(), 2);
-        assert!(sys.executor().is_some());
-        sys.set_threads(1);
-        assert!(sys.executor().is_none(), "serial walk drops the pool");
+        let per_cycle = run(false);
+        let skip = run(true);
+        assert_eq!(per_cycle.0, skip.0, "command logs diverge");
+        assert_eq!(per_cycle.1, skip.1, "completions diverge");
+        assert_eq!(per_cycle.2, skip.2, "statistics diverge");
+        assert_eq!(per_cycle.3, skip.3);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! each boundary settles `boundary − last_charge` cycles — so the
 //! per-cause budget of a completed request sums *exactly* to its
 //! measured latency, and because dead cycles charge nothing at the time
-//! they elapse, the budgets are bit-identical across per-cycle,
-//! skip-ahead, and threaded channel walks (the workspace
+//! they elapse, the budgets are bit-identical across per-cycle and
+//! skip-ahead walks (the workspace
 //! `blame_inertness` differential enforces both properties).
 //!
 //! A [`BlameSet`] aggregates the per-request budgets as one

@@ -11,11 +11,10 @@
 //!
 //! Windows are closed at **exact** simulated cycles: the sampling
 //! boundary is an event source the skip-ahead walk never jumps past
-//! (exactly like policy epochs), so the series a per-cycle walk, a
-//! skip-ahead walk, and the threaded channel walk produce are
-//! bit-identical — enforced by the workspace metrics differential test.
-//! Like tracing, metrics are *inert*: recording them changes no
-//! simulated outcome.
+//! (exactly like policy epochs), so the series a per-cycle walk and a
+//! skip-ahead walk produce are bit-identical — enforced by the
+//! workspace metrics differential test. Like tracing, metrics are
+//! *inert*: recording them changes no simulated outcome.
 //!
 //! Metrics are configured per run via [`MetricsConfig`], usually
 //! resolved from the `CLR_METRICS` environment variable

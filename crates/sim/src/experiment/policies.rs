@@ -22,15 +22,13 @@
 //! instruction budgets. Relative orderings, not absolute numbers, are the
 //! output.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use clr_core::geometry::DramGeometry;
 use clr_cpu::cache::CacheConfig;
 use clr_cpu::cluster::ClusterConfig;
 use clr_memsim::config::{ClrModeConfig, MemConfig};
 use clr_memsim::frames::DestinationPicker;
 use clr_memsim::migrate::RelocationConfig;
+use clr_memsim::Executor;
 use clr_obs::{MetricsConfig, SloSpec, WindowMetric, WindowedObjective};
 use clr_policy::budget::BudgetSplit;
 use clr_policy::policy::{PolicyConstraints, PolicySpec};
@@ -40,7 +38,7 @@ use clr_trace::workload::Workload;
 
 use crate::policyrun::{run_policy_workloads, PolicyRunConfig};
 use crate::scale::Scale;
-use crate::system::RunConfig;
+use crate::system::{host_parallelism, RunConfig};
 
 /// The capacity budget every dynamic policy runs under.
 pub const DYNAMIC_BUDGET: f64 = 0.25;
@@ -395,7 +393,7 @@ fn run_cell(spec: &CellSpec, scale: Scale, seed: u64) -> PolicyCell {
             interval_cycles: epoch_cycles(scale),
             capacity: 4_096,
         }),
-        threads: crate::system::threads_from_env(),
+        threads: 1,
         clamp_threads: true,
         // Wait-cause attribution rides along: the blame ledger is inert
         // (differential-tested) and the sweep schema reports per-cause
@@ -677,7 +675,7 @@ fn apply_slowdown_slo(cell: &mut PolicyCell) {
 /// *distinct* alone-baseline configuration (deduplicated across cells
 /// — a 4-core cell shares its first two baselines with the 2-core and
 /// 1-core cells of the same policy/channels/split group), then every
-/// contention cell, all distributed over worker threads.
+/// contention cell, all run as jobs on one [`Executor`].
 pub fn run_contention(scale: Scale, seed: u64) -> Vec<PolicyCell> {
     let specs = contention_roster(scale);
     let mut wanted: Vec<(AloneKey, CellSpec, u64)> = Vec::new();
@@ -694,15 +692,25 @@ pub fn run_contention(scale: Scale, seed: u64) -> Vec<PolicyCell> {
             }
         }
     }
-    let cells = parallel_map(wanted.len(), |i| run_cell(&wanted[i].1, scale, wanted[i].2));
+    let pool = Executor::new(host_parallelism());
+    let cells = pool.run_batch(
+        wanted
+            .iter()
+            .map(|(_, spec, alone_seed)| move || run_cell(spec, scale, *alone_seed))
+            .collect(),
+    );
     let baselines: std::collections::HashMap<AloneKey, PolicyCell> = wanted
         .into_iter()
         .zip(cells)
         .map(|((key, _, _), cell)| (key, cell))
         .collect();
-    parallel_map(specs.len(), |i| {
-        run_contention_cell(&specs[i], scale, seed, &baselines)
-    })
+    let baselines = &baselines;
+    pool.run_batch(
+        specs
+            .iter()
+            .map(|spec| move || run_contention_cell(spec, scale, seed, baselines))
+            .collect(),
+    )
 }
 
 /// The placement sweep's workload mix: the drifting and stable hot sets
@@ -780,7 +788,11 @@ pub fn run_placement(scale: Scale, seed: u64) -> Vec<PolicyCell> {
         let label = format!("2core/2ch:skewed:{}", p.label());
         jobs.push((placement_cell_spec(p, workloads.clone(), label), seed));
     }
-    let cells = parallel_map(jobs.len(), |i| run_cell(&jobs[i].0, scale, jobs[i].1));
+    let cells = Executor::new(host_parallelism()).run_batch(
+        jobs.iter()
+            .map(|(spec, seed)| move || run_cell(spec, scale, *seed))
+            .collect(),
+    );
     cells
         .chunks(per)
         .map(|chunk| {
@@ -795,37 +807,12 @@ pub fn run_placement(scale: Scale, seed: u64) -> Vec<PolicyCell> {
         .collect()
 }
 
-/// Runs `n` jobs over worker threads, returning results in job order.
-fn parallel_map<T: Send>(n: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
-    let workers = std::thread::available_parallelism()
-        .map(|w| w.get())
-        .unwrap_or(4)
-        .min(n.max(1));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let out = job(i);
-                results.lock().expect("no poisoned workers").push((i, out));
-            });
-        }
-    });
-    let mut out = results.into_inner().expect("workers joined");
-    out.sort_by_key(|(i, _)| *i);
-    out.into_iter().map(|(_, t)| t).collect()
-}
-
 /// Runs the sweep: every roster policy × every roster workload
 /// (drifting-hot, stable-hot, uniform-random) × the policy's relocation
 /// axis (stall vs background for dynamic policies), plus the 2-core
 /// shared-budget cell and the contention sweep (core counts × channel
 /// counts × budget splits; see [`contention_roster`]); cells are
-/// distributed over worker threads. Cells are workload-major with the
+/// run as jobs on an [`Executor`]. Cells are workload-major with the
 /// drifting-hot-set column first, so [`PolicySweepReport::cell`]
 /// lookups by policy alone keep resolving to the headline workload.
 pub fn run(scale: Scale, seed: u64) -> PolicySweepReport {
@@ -844,7 +831,11 @@ pub fn run(scale: Scale, seed: u64) -> PolicySweepReport {
         }
     }
     jobs.push(multicore_cell(scale));
-    let cells = parallel_map(jobs.len(), |i| run_cell(&jobs[i], scale, seed));
+    let cells = Executor::new(host_parallelism()).run_batch(
+        jobs.iter()
+            .map(|spec| move || run_cell(spec, scale, seed))
+            .collect(),
+    );
     let contention = run_contention(scale, seed);
     let placement = run_placement(scale, seed);
     PolicySweepReport {

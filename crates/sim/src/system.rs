@@ -77,26 +77,15 @@ pub struct RunConfig {
     /// metrics are inert). Windows close at exact simulated cycles —
     /// the sampling boundary is an event source skip-ahead jumps are
     /// clamped to — so the series are bit-identical across the
-    /// per-cycle, skip-ahead, and threaded walks. [`RunConfig::paper`]
+    /// per-cycle and skip-ahead walks. [`RunConfig::paper`]
     /// resolves this from the `CLR_METRICS` environment variable (see
     /// [`clr_obs::series`](clr_obs::MetricsConfig)).
     pub metrics: Option<MetricsConfig>,
-    /// Worker threads for the memory-side channel walk (1 = serial, the
-    /// default). Channels are partitioned across workers between epoch
-    /// barriers and their completion streams merged on
-    /// `(finish_cycle, channel)`, so any value is bit-identical to
-    /// serial. [`RunConfig::paper`] resolves this from the
-    /// `CLR_THREADS` environment variable.
+    /// Ignored: the channel walk is always serial. Kept so existing
+    /// struct literals compile; set it to `1`. Parallelism runs whole
+    /// simulations as jobs on [`clr_memsim::Executor`] instead.
     pub threads: usize,
-    /// Clamp [`RunConfig::threads`] to the host's
-    /// [`std::thread::available_parallelism`] when the run resolves its
-    /// effective thread count (the default, and what every production
-    /// caller wants: `CLR_THREADS=2` on a 1-core host must not fan out —
-    /// parked workers on one core only add hand-off latency).
-    /// Differential tests set `false` so the pooled walk is exercised
-    /// even on 1-core hosts; the clamp can never change a simulated
-    /// outcome either way. The resolved counts are recorded in
-    /// [`RunResult::threads_requested`] / [`RunResult::threads_effective`].
+    /// Ignored, like [`RunConfig::threads`]; set it to `true`.
     pub clamp_threads: bool,
     /// Per-request wait-cause attribution (off by default; inert, like
     /// tracing and metrics): every completed demand request's
@@ -112,7 +101,7 @@ pub struct RunConfig {
 impl RunConfig {
     /// Paper-configured system at the given scale knobs. Tracing follows
     /// the `CLR_TRACE` environment variable; continuous telemetry
-    /// follows `CLR_METRICS`; worker threads follow `CLR_THREADS`.
+    /// follows `CLR_METRICS`.
     pub fn paper(mem: MemConfig, budget_insts: u64, warmup_insts: u64, seed: u64) -> Self {
         RunConfig {
             mem,
@@ -123,7 +112,7 @@ impl RunConfig {
             skip_ahead: true,
             trace: TraceConfig::from_env(),
             metrics: MetricsConfig::from_env(),
-            threads: threads_from_env(),
+            threads: 1,
             clamp_threads: true,
             blame: blame_from_env(),
         }
@@ -138,8 +127,9 @@ pub fn blame_from_env() -> bool {
         .unwrap_or(false)
 }
 
-/// Worker-thread count from the `CLR_THREADS` environment variable
-/// (default 1 = serial; invalid or zero values fall back to 1).
+/// Job-pool width from the `CLR_THREADS` environment variable (default
+/// 1; invalid or zero values fall back to 1) — how many lanes
+/// `fleet_report` runs its instances on.
 pub fn threads_from_env() -> usize {
     std::env::var("CLR_THREADS")
         .ok()
@@ -149,8 +139,7 @@ pub fn threads_from_env() -> usize {
 }
 
 /// The host's available hardware parallelism (1 if unknown) — the
-/// ceiling [`RunConfig::clamp_threads`] holds effective worker threads
-/// to, and the value benches report alongside requested thread counts.
+/// ceiling job pools clamp their lane count to.
 pub fn host_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -186,20 +175,12 @@ pub struct RunResult {
     /// (excluding trace profiling and placement construction) — the
     /// denominator for simulator-throughput reporting.
     pub host_loop_s: f64,
-    /// Host seconds spent inside the memory-side channel walk (serial or
-    /// threaded), a subset of [`RunResult::host_loop_s`].
+    /// Host seconds spent inside the memory-side channel walk, a subset
+    /// of [`RunResult::host_loop_s`].
     pub host_walk_s: f64,
     /// Host seconds spent merging per-channel completion streams, a
     /// subset of [`RunResult::host_loop_s`].
     pub host_merge_s: f64,
-    /// Worker threads the configuration asked for
-    /// ([`RunConfig::threads`], ≥ 1).
-    pub threads_requested: usize,
-    /// Worker threads the walk actually ran with after the
-    /// [`RunConfig::clamp_threads`] resolve-time clamp against
-    /// [`host_parallelism`] (equals `threads_requested` when clamping
-    /// is off or the host has enough cores).
-    pub threads_effective: usize,
     /// The merged event trace (whole run, warmup included), present only
     /// when [`RunConfig::trace`] enabled tracing. When metrics were also
     /// enabled and the trace's category set includes
@@ -401,16 +382,6 @@ pub(crate) fn run_workloads_observed(
 
     let mut cluster = CpuCluster::new(cfg.cluster, traces);
     let mut mem_sys = MemorySystem::new(cfg.mem.clone());
-    // Resolve the effective worker-thread count: fanning out past the
-    // host's cores only adds hand-off latency (the measured 2-thread
-    // regression on a 1-core host), so production runs clamp here.
-    let threads_requested = cfg.threads.max(1);
-    let threads_effective = if cfg.clamp_threads {
-        threads_requested.min(host_parallelism())
-    } else {
-        threads_requested
-    };
-    mem_sys.set_threads(threads_effective);
     if let Some(tc) = &cfg.trace {
         mem_sys.enable_tracing(tc);
     }
@@ -631,8 +602,6 @@ pub(crate) fn run_workloads_observed(
         host_loop_s,
         host_walk_s,
         host_merge_s,
-        threads_requested,
-        threads_effective,
         trace,
         metrics,
         skip_profile: mem_sys.fused_skip_profile(),

@@ -109,7 +109,7 @@ fn main() {
     // Where did the p99 come from? The blame table: every waited cycle
     // of read latency charged to exactly one mutually-exclusive cause
     // (the budgets sum to the latency histogram's sum, bit-identically
-    // across per-cycle, skip-ahead, and threaded walks).
+    // across per-cycle and skip-ahead walks).
     let wait = clr.mem.read_blame.total_cycles();
     println!("  read wait anatomy ({wait} cycles attributed):");
     for (cause, cycles) in clr.mem.read_blame.dominant() {
@@ -122,8 +122,7 @@ fn main() {
     }
 
     // Simulator throughput, not simulated performance: how fast the
-    // host chewed through the run (CLR_THREADS>1 parallelizes the
-    // channel walk on multi-channel configurations, bit-identically).
+    // host chewed through the run.
     println!("  {}", host_throughput_summary(&clr, None));
 
     // 4. Optional: a Perfetto-openable trace of the CLR run. Set

@@ -235,7 +235,7 @@
 //! quantiles, per channel and fused system-wide
 //! (`RunResult::metrics`). Boundaries are exact-cycle events the
 //! skip-ahead walk clamps to, so the series are bit-identical across
-//! per-cycle, skip-ahead, and threaded walks, and — like tracing —
+//! per-cycle and skip-ahead walks, and — like tracing —
 //! provably inert (`tests/metrics_inertness.rs`). `clr_dram::obs`'s
 //! SLO engine evaluates declarative objectives with error budgets and
 //! burn-rate alerts over any series; every `policy_sweep` cell carries

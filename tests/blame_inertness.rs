@@ -2,13 +2,12 @@
 //!
 //! 1. **Inertness** — enabling blame changes no simulated outcome
 //!    (IPC, cycle counts, per-channel statistics, policy decisions), at
-//!    every walk level: serial per-cycle, serial skip-ahead, and the
-//!    `CLR_THREADS=2` parallel channel walk.
+//!    every walk level: per-cycle and skip-ahead.
 //! 2. **Exactness** — the per-cause budgets sum *exactly* to the
 //!    latency histograms they decompose: every waited cycle is charged
 //!    to exactly one cause, none twice, none dropped.
 //! 3. **Walk-invariance** — the blame budgets themselves are
-//!    bit-identical across all three walks: causes are charged from
+//!    bit-identical across both walks: causes are charged from
 //!    lane analysis at state-change boundaries, which every walk visits
 //!    at the same cycles.
 //!
@@ -30,7 +29,7 @@ use clr_dram::trace::workload::Workload;
 /// telemetry differentials use — background migrations,
 /// demand-proportional budgets, channel skew — so the budgets carry
 /// nonzero migration-block and conflict signals.
-fn run(blame: bool, skip_ahead: bool, threads: usize) -> PolicyRunResult {
+fn run(blame: bool, skip_ahead: bool) -> PolicyRunResult {
     let mut mem = policy_mem_config(0.0);
     mem.geometry.channels = 2;
     mem.relocation = RelocationConfig::background();
@@ -44,9 +43,8 @@ fn run(blame: bool, skip_ahead: bool, threads: usize) -> PolicyRunResult {
         skip_ahead,
         trace: None,
         metrics: None,
-        threads,
-        // Differential lane: exercise the pooled walk even on 1-core hosts.
-        clamp_threads: false,
+        threads: 1,
+        clamp_threads: true,
         blame,
     };
     let cfg = PolicyRunConfig::new(
@@ -96,14 +94,10 @@ fn assert_same_outcome(a: &PolicyRunResult, b: &PolicyRunResult, what: &str) {
 
 #[test]
 fn blame_changes_no_simulated_outcome_at_any_walk_level() {
-    for (skip_ahead, threads) in [(false, 1), (true, 1), (true, 2)] {
-        let off = run(false, skip_ahead, threads);
-        let on = run(true, skip_ahead, threads);
-        assert_same_outcome(
-            &off,
-            &on,
-            &format!("skip_ahead={skip_ahead} threads={threads}"),
-        );
+    for skip_ahead in [false, true] {
+        let off = run(false, skip_ahead);
+        let on = run(true, skip_ahead);
+        assert_same_outcome(&off, &on, &format!("skip_ahead={skip_ahead}"));
         assert!(off.run.mem.read_blame.is_empty());
         assert!(off.run.mem.write_blame.is_empty());
         assert!(!on.run.mem.read_blame.is_empty());
@@ -112,9 +106,9 @@ fn blame_changes_no_simulated_outcome_at_any_walk_level() {
 
 #[test]
 fn budgets_sum_exactly_to_latency_at_any_walk_level() {
-    for (skip_ahead, threads) in [(false, 1), (true, 1), (true, 2)] {
-        let on = run(true, skip_ahead, threads);
-        let what = format!("skip_ahead={skip_ahead} threads={threads}");
+    for skip_ahead in [false, true] {
+        let on = run(true, skip_ahead);
+        let what = format!("skip_ahead={skip_ahead}");
         // Fused and per-channel: every waited cycle charged exactly once.
         assert_eq!(
             on.run.mem.read_blame.total_cycles(),
@@ -165,11 +159,9 @@ fn budgets_sum_exactly_to_latency_at_any_walk_level() {
 
 #[test]
 fn budgets_are_bit_identical_across_walks() {
-    let per_cycle = run(true, false, 1);
-    let skip = run(true, true, 1);
-    let threaded = run(true, true, 2);
+    let per_cycle = run(true, false);
+    let skip = run(true, true);
     assert_same_outcome(&per_cycle, &skip, "per-cycle vs skip-ahead");
-    assert_same_outcome(&skip, &threaded, "skip-ahead vs threaded");
 
     for cause in WaitCause::ALL {
         assert_eq!(
@@ -179,20 +171,14 @@ fn budgets_are_bit_identical_across_walks() {
             cause.label()
         );
         assert_eq!(
-            skip.run.mem.read_blame.of(cause),
-            threaded.run.mem.read_blame.of(cause),
-            "skip-ahead vs threaded diverge on {}",
-            cause.label()
-        );
-        assert_eq!(
             per_cycle.run.mem.write_blame.of(cause),
-            threaded.run.mem.write_blame.of(cause),
+            skip.run.mem.write_blame.of(cause),
             "write budgets diverge on {}",
             cause.label()
         );
     }
     assert_eq!(
-        per_cycle.run.mem_per_channel, threaded.run.mem_per_channel,
+        per_cycle.run.mem_per_channel, skip.run.mem_per_channel,
         "full per-channel statistics (budgets included) diverge"
     );
 }

@@ -4,11 +4,9 @@
 //! instances are independent whole-instance jobs whose results come
 //! back in roster order and the JSON carries no host wall-clock.
 //!
-//! Pool sizes above 1 are driven through the real persistent pool
-//! (parked workers + condvar hand-off), bypassing the host-parallelism
-//! clamp so the contract is exercised even on 1-core CI hosts — the
-//! fleet analogue of `tests/skip_ahead_differential.rs`'s threaded
-//! lanes.
+//! Pool sizes above 1 run on real executor threads, bypassing the
+//! host-parallelism clamp so the contract is exercised even on 1-core
+//! CI hosts.
 
 use clr_dram::fleet::{run_fleet, run_instance, FleetReport, FleetSpec};
 use clr_dram::memsim::Executor;
@@ -21,8 +19,7 @@ fn run_with_forced_lanes(spec: &FleetSpec, lanes: usize) -> FleetReport {
     let tasks: Vec<_> = spec
         .instances
         .iter()
-        .cloned()
-        .map(|inst| move || run_instance(&inst))
+        .map(|inst| move || run_instance(inst))
         .collect();
     FleetReport::fuse(spec, pool.run_batch(tasks), lanes, lanes)
 }

@@ -2,10 +2,9 @@
 //!
 //! 1. **Inertness** — enabling metrics changes no simulated outcome
 //!    (IPC, cycle counts, per-channel statistics, policy decisions), at
-//!    every walk level: serial per-cycle, serial skip-ahead, and the
-//!    `CLR_THREADS=2` parallel channel walk.
+//!    every walk level: per-cycle and skip-ahead.
 //! 2. **Exactness** — the series themselves are bit-identical across
-//!    all three walks: window boundaries are exact-cycle events the
+//!    both walks: window boundaries are exact-cycle events the
 //!    skip-ahead jump cap is clamped to, so every walk closes every
 //!    window at the same cycle with the same exact statistics delta.
 //!
@@ -29,7 +28,7 @@ const INTERVAL: u64 = 2_000;
 /// differential uses — background migrations, demand-proportional
 /// budgets, channel skew — so the series carry nonzero migration and
 /// budget signals.
-fn run(metrics: Option<MetricsConfig>, skip_ahead: bool, threads: usize) -> PolicyRunResult {
+fn run(metrics: Option<MetricsConfig>, skip_ahead: bool) -> PolicyRunResult {
     let mut mem = policy_mem_config(0.0);
     mem.geometry.channels = 2;
     mem.relocation = RelocationConfig::background();
@@ -43,9 +42,8 @@ fn run(metrics: Option<MetricsConfig>, skip_ahead: bool, threads: usize) -> Poli
         skip_ahead,
         trace: None,
         metrics,
-        threads,
-        // Differential lane: exercise the pooled walk even on 1-core hosts.
-        clamp_threads: false,
+        threads: 1,
+        clamp_threads: true,
         blame: false,
     };
     let cfg = PolicyRunConfig::new(
@@ -85,14 +83,10 @@ fn assert_same_outcome(a: &PolicyRunResult, b: &PolicyRunResult, what: &str) {
 
 #[test]
 fn metrics_change_no_simulated_outcome_at_any_walk_level() {
-    for (skip_ahead, threads) in [(false, 1), (true, 1), (true, 2)] {
-        let off = run(None, skip_ahead, threads);
-        let on = run(metrics_on(), skip_ahead, threads);
-        assert_same_outcome(
-            &off,
-            &on,
-            &format!("skip_ahead={skip_ahead} threads={threads}"),
-        );
+    for skip_ahead in [false, true] {
+        let off = run(None, skip_ahead);
+        let on = run(metrics_on(), skip_ahead);
+        assert_same_outcome(&off, &on, &format!("skip_ahead={skip_ahead}"));
         assert!(off.run.metrics.is_none());
         assert!(off.policy_series.is_none());
         assert!(on.run.metrics.is_some());
@@ -102,31 +96,23 @@ fn metrics_change_no_simulated_outcome_at_any_walk_level() {
 
 #[test]
 fn series_are_bit_identical_across_walks() {
-    let per_cycle = run(metrics_on(), false, 1);
-    let skip = run(metrics_on(), true, 1);
-    let threaded = run(metrics_on(), true, 2);
+    let per_cycle = run(metrics_on(), false);
+    let skip = run(metrics_on(), true);
     assert_same_outcome(&per_cycle, &skip, "per-cycle vs skip-ahead");
-    assert_same_outcome(&skip, &threaded, "skip-ahead vs threaded");
 
     let a = per_cycle.run.metrics.as_ref().unwrap();
     let b = skip.run.metrics.as_ref().unwrap();
-    let c = threaded.run.metrics.as_ref().unwrap();
     assert_eq!(
         a.per_channel, b.per_channel,
         "per-cycle vs skip-ahead series diverge"
     );
-    assert_eq!(
-        b.per_channel, c.per_channel,
-        "skip-ahead vs threaded series diverge"
-    );
-    assert_eq!(a.system(), c.system());
+    assert_eq!(a.system(), b.system());
     assert_eq!(per_cycle.policy_series, skip.policy_series);
-    assert_eq!(skip.policy_series, threaded.policy_series);
 }
 
 #[test]
 fn windows_tile_the_run_at_exact_boundaries() {
-    let r = run(metrics_on(), true, 1);
+    let r = run(metrics_on(), true);
     let m = r.run.metrics.as_ref().unwrap();
     assert_eq!(m.interval_cycles, INTERVAL);
     assert_eq!(m.per_channel.len(), 2);
@@ -173,7 +159,7 @@ fn windows_tile_the_run_at_exact_boundaries() {
 
 #[test]
 fn slo_spec_evaluates_the_scenario_series() {
-    let r = run(metrics_on(), true, 1);
+    let r = run(metrics_on(), true);
     let system = r.run.metrics.as_ref().unwrap().system();
 
     // The background-relocation scenario never stalls, so a hard

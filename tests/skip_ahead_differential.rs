@@ -9,10 +9,6 @@
 //! 2. the full system loop (`RunConfig::skip_ahead`), where the CPU
 //!    cluster co-jumps with the controller;
 //! 3. a policy run, where epoch boundaries must fire at exact cycles.
-//!
-//! The same contract covers the *threaded* walk (`threads` > 1, one
-//! worker per channel shard): thread count is a host-speed knob only, so
-//! every level is additionally differenced threaded-vs-serial.
 
 use clr_core::addr::PhysAddr;
 use clr_core::mode::RowMode;
@@ -216,17 +212,12 @@ fn controller_cross_bank_migration_is_bit_identical() {
 fn drive_sharded(
     mut cfg: MemConfig,
     skip: bool,
-    threads: usize,
     transitions_at: Option<u64>,
 ) -> (Vec<Vec<IssuedCommand>>, Vec<Completion>, MemStats) {
     cfg.refresh_enabled = true;
     cfg.geometry.channels = 2;
     let background = cfg.relocation.is_background();
     let mut sys = MemorySystem::new(cfg);
-    sys.set_threads(threads);
-    // Fan every window out to the workers, not just cutover-sized ones,
-    // so the threaded drive exercises the scoped-thread path throughout.
-    sys.set_parallel_cutover(1);
     sys.enable_command_log();
     let mut done = Vec::new();
     let advance_to = |sys: &mut MemorySystem, done: &mut Vec<Completion>, to: u64| {
@@ -279,8 +270,8 @@ fn two_channel_system_is_bit_identical() {
         (MemConfig::tiny_clr(0.25), None),
         (MemConfig::tiny_clr(0.0), Some(8_000)),
     ] {
-        let (logs_a, done_a, stats_a) = drive_sharded(cfg.clone(), false, 1, transitions_at);
-        let (logs_b, done_b, stats_b) = drive_sharded(cfg, true, 1, transitions_at);
+        let (logs_a, done_a, stats_a) = drive_sharded(cfg.clone(), false, transitions_at);
+        let (logs_b, done_b, stats_b) = drive_sharded(cfg, true, transitions_at);
         assert_eq!(logs_a.len(), 2);
         for (ch, (a, b)) in logs_a.iter().zip(&logs_b).enumerate() {
             assert_eq!(a.len(), b.len(), "channel {ch} command counts diverge");
@@ -303,8 +294,8 @@ fn two_channel_background_migration_is_bit_identical() {
     use clr_dram::memsim::migrate::RelocationConfig;
     let mut cfg = MemConfig::tiny_clr(0.0);
     cfg.relocation = RelocationConfig::background();
-    let (logs_a, done_a, stats_a) = drive_sharded(cfg.clone(), false, 1, Some(8_000));
-    let (logs_b, done_b, stats_b) = drive_sharded(cfg, true, 1, Some(8_000));
+    let (logs_a, done_a, stats_a) = drive_sharded(cfg.clone(), false, Some(8_000));
+    let (logs_b, done_b, stats_b) = drive_sharded(cfg, true, Some(8_000));
     assert_eq!(logs_a, logs_b, "command logs diverge");
     assert_eq!(done_a, done_b, "completions diverge");
     assert_eq!(stats_a, stats_b, "statistics diverge");
@@ -326,8 +317,8 @@ fn two_channel_cross_bank_migration_is_bit_identical() {
     let mut cfg = MemConfig::tiny_clr(0.0);
     cfg.relocation = RelocationConfig::background();
     cfg.placement = DestinationPicker::CrossBank;
-    let (logs_a, done_a, stats_a) = drive_sharded(cfg.clone(), false, 1, Some(8_000));
-    let (logs_b, done_b, stats_b) = drive_sharded(cfg, true, 1, Some(8_000));
+    let (logs_a, done_a, stats_a) = drive_sharded(cfg.clone(), false, Some(8_000));
+    let (logs_b, done_b, stats_b) = drive_sharded(cfg, true, Some(8_000));
     assert_eq!(logs_a, logs_b, "command logs diverge");
     assert_eq!(done_a, done_b, "completions diverge");
     assert_eq!(stats_a, stats_b, "statistics diverge");
@@ -335,15 +326,14 @@ fn two_channel_cross_bank_migration_is_bit_identical() {
     assert_eq!(stats_a.relocation_stall_cycles, 0);
 }
 
-/// The threaded walk (one worker per channel shard) against both the
-/// per-cycle reference and the serial skip-ahead walk, at the
+/// The skip-ahead walk against the per-cycle reference at the
 /// controller-drive level, across the configurations where the channels'
 /// interleaving is least trivial: plain CLR traffic, background
-/// migration, and cross-bank placement. Worker count must be invisible
-/// in the command logs, the merged completion stream, and the fused
+/// migration, and cross-bank placement. The walk must be invisible in
+/// the command logs, the merged completion stream, and the fused
 /// statistics.
 #[test]
-fn two_channel_threaded_drive_is_bit_identical() {
+fn two_channel_drive_is_bit_identical_across_configs() {
     use clr_dram::memsim::frames::DestinationPicker;
     use clr_dram::memsim::migrate::RelocationConfig;
     let cross_bank = {
@@ -362,16 +352,9 @@ fn two_channel_threaded_drive_is_bit_identical() {
         (background, Some(8_000)),
         (cross_bank, Some(8_000)),
     ] {
-        let reference = drive_sharded(cfg.clone(), false, 1, transitions_at);
-        let serial = drive_sharded(cfg.clone(), true, 1, transitions_at);
-        assert_eq!(reference, serial, "serial skip walk diverges");
-        for threads in [2, 4] {
-            let threaded = drive_sharded(cfg.clone(), true, threads, transitions_at);
-            assert_eq!(
-                serial, threaded,
-                "threaded walk (threads={threads}) diverges"
-            );
-        }
+        let reference = drive_sharded(cfg.clone(), false, transitions_at);
+        let skip = drive_sharded(cfg, true, transitions_at);
+        assert_eq!(reference, skip, "skip walk diverges");
     }
 }
 
@@ -416,40 +399,6 @@ fn two_channel_full_system_run_is_bit_identical() {
     // never exercised.
     assert_eq!(per_cycle.mem_per_channel.len(), 2);
     assert!(per_cycle.mem_per_channel.iter().all(|s| s.reads > 0));
-}
-
-/// `RunConfig::threads` end to end: the full system loop with two
-/// workers must reproduce the per-cycle reference and the serial
-/// skip-ahead run exactly (IPC, both clock domains, fused and
-/// per-channel statistics).
-#[test]
-fn two_channel_threaded_full_system_run_is_bit_identical() {
-    let w = Workload::PhaseShift(PhaseShiftSpec {
-        footprint_mib: 2,
-        accesses_per_phase: 1_500,
-        ..PhaseShiftSpec::paper_default()
-    });
-    let mut mem = MemConfig::paper_clr(0.25);
-    mem.geometry.channels = 2;
-    let run = |skip_ahead: bool, threads: usize| {
-        let mut cfg = RunConfig::paper(mem.clone(), 12_000, 1_500, 77);
-        cfg.skip_ahead = skip_ahead;
-        cfg.threads = threads;
-        // Differential lane: the pooled walk must run even on 1-core
-        // hosts, where the production clamp would degrade it to serial.
-        cfg.clamp_threads = false;
-        run_workloads(&[w], &cfg)
-    };
-    let per_cycle = run(false, 1);
-    let serial = run(true, 1);
-    let threaded = run(true, 2);
-    for (name, r) in [("serial", &serial), ("threaded", &threaded)] {
-        assert_eq!(per_cycle.ipc, r.ipc, "{name} IPC diverges");
-        assert_eq!(per_cycle.cpu_cycles, r.cpu_cycles, "{name}");
-        assert_eq!(per_cycle.dram_cycles, r.dram_cycles, "{name}");
-        assert_eq!(per_cycle.mem, r.mem, "{name} statistics diverge");
-        assert_eq!(per_cycle.mem_per_channel, r.mem_per_channel, "{name}");
-    }
 }
 
 #[test]
@@ -510,17 +459,14 @@ fn two_channel_policy_run_with_epoch_boundaries_is_bit_identical() {
 /// cross-bank exercises the overlapped two-bank jobs under the epoch
 /// loop, cross-channel additionally runs the frame rebalancer (placement
 /// pumps, staged evacuate/fill jobs, remap installs) at every epoch
-/// boundary. Each mode also runs the skip-ahead walk with two workers —
-/// background migration and cross-channel rebalancing under the epoch
-/// loop are where a racy channel walk would be most visible, and the
-/// threaded run must match the per-cycle reference bit for bit.
+/// boundary.
 #[test]
 fn placement_modes_policy_runs_are_bit_identical() {
     use clr_dram::memsim::frames::DestinationPicker;
     use clr_dram::memsim::migrate::RelocationConfig;
     use clr_dram::policy::budget::BudgetSplit;
     use clr_dram::sim::experiment::policies::{policy_cluster, policy_mem_config};
-    let run = |placement: DestinationPicker, skip: bool, threads: usize| {
+    let run = |placement: DestinationPicker, skip: bool| {
         let mut mem = policy_mem_config(0.0);
         mem.geometry.channels = 2;
         mem.relocation = RelocationConfig::background();
@@ -534,10 +480,8 @@ fn placement_modes_policy_runs_are_bit_identical() {
             skip_ahead: skip,
             trace: None,
             metrics: None,
-            threads,
-            // Differential lane: exercise the pooled walk even on
-            // 1-core hosts.
-            clamp_threads: false,
+            threads: 1,
+            clamp_threads: true,
             blame: false,
         };
         let cfg = PolicyRunConfig::new(
@@ -560,24 +504,17 @@ fn placement_modes_policy_runs_are_bit_identical() {
         DestinationPicker::CrossBank,
         DestinationPicker::CrossChannel,
     ] {
-        let a = run(placement, false, 1);
-        for (name, b) in [
-            ("skip", run(placement, true, 1)),
-            ("skip+threads=2", run(placement, true, 2)),
-        ] {
-            assert_eq!(a.run.ipc, b.run.ipc, "{placement:?} {name} IPC diverges");
-            assert_eq!(a.run.cpu_cycles, b.run.cpu_cycles, "{placement:?} {name}");
-            assert_eq!(a.run.dram_cycles, b.run.dram_cycles, "{placement:?} {name}");
-            assert_eq!(
-                a.run.mem, b.run.mem,
-                "{placement:?} {name} statistics diverge"
-            );
-            assert_eq!(
-                a.run.mem_per_channel, b.run.mem_per_channel,
-                "{placement:?} {name}"
-            );
-            assert_eq!(a.rows_remapped, b.rows_remapped, "{placement:?} {name}");
-        }
+        let a = run(placement, false);
+        let b = run(placement, true);
+        assert_eq!(a.run.ipc, b.run.ipc, "{placement:?} IPC diverges");
+        assert_eq!(a.run.cpu_cycles, b.run.cpu_cycles, "{placement:?}");
+        assert_eq!(a.run.dram_cycles, b.run.dram_cycles, "{placement:?}");
+        assert_eq!(a.run.mem, b.run.mem, "{placement:?} statistics diverge");
+        assert_eq!(
+            a.run.mem_per_channel, b.run.mem_per_channel,
+            "{placement:?}"
+        );
+        assert_eq!(a.rows_remapped, b.rows_remapped, "{placement:?}");
         assert_eq!(a.run.mem.relocation_stall_cycles, 0);
         match placement {
             DestinationPicker::SameBank => {

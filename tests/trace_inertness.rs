@@ -25,10 +25,6 @@ use clr_dram::trace::workload::Workload;
 /// lifecycles, policy epochs, and the frame rebalancer's placement
 /// events.
 fn run(trace: Option<TraceConfig>) -> PolicyRunResult {
-    run_threaded(trace, 1)
-}
-
-fn run_threaded(trace: Option<TraceConfig>, threads: usize) -> PolicyRunResult {
     let mut mem = policy_mem_config(0.0);
     mem.geometry.channels = 2;
     mem.relocation = RelocationConfig::background();
@@ -45,9 +41,8 @@ fn run_threaded(trace: Option<TraceConfig>, threads: usize) -> PolicyRunResult {
         // (and the Metrics category's counter tracks land in the log).
         metrics: trace.is_some().then(|| MetricsConfig::every(2_500)),
         trace,
-        threads,
-        // Differential lane: exercise the pooled walk even on 1-core hosts.
-        clamp_threads: false,
+        threads: 1,
+        clamp_threads: true,
         // Attribution on in *both* runs (the differential stays
         // symmetric): tail-request flow spans carry the per-cause blame
         // budget in their args, so the `requests` category only lights
@@ -120,47 +115,6 @@ fn tracing_changes_no_simulated_outcome() {
     assert!(p.skipped_cycles > 0 && p.ticked_cycles > 0);
     assert!(p.triggers.iter().sum::<u64>() == p.jumps.count());
     assert!(p.jump_coverage() > 0.0 && p.jump_coverage() < 1.0);
-}
-
-#[test]
-fn tracing_stays_inert_and_bit_identical_under_threads() {
-    // The threaded channel walk must preserve both halves of the
-    // contract at once: tracing stays invisible, and two workers are
-    // bit-identical to the serial walk — same simulation, same merged
-    // event log.
-    let serial = run_threaded(Some(all_categories()), 1);
-    let threaded = run_threaded(Some(all_categories()), 2);
-    assert_eq!(serial.run.ipc, threaded.run.ipc);
-    assert_eq!(serial.run.cpu_cycles, threaded.run.cpu_cycles);
-    assert_eq!(serial.run.dram_cycles, threaded.run.dram_cycles);
-    assert_eq!(serial.run.mem, threaded.run.mem);
-    assert_eq!(serial.run.mem_per_channel, threaded.run.mem_per_channel);
-    assert_eq!(serial.rows_remapped, threaded.rows_remapped);
-    assert_eq!(serial.final_hp_fraction, threaded.final_hp_fraction);
-    assert_eq!(
-        serial.policy_stats_per_channel,
-        threaded.policy_stats_per_channel
-    );
-    assert_eq!(serial.run.skip_profile, threaded.run.skip_profile);
-    let a = serial.run.trace.as_ref().expect("serial log");
-    let b = threaded.run.trace.as_ref().expect("threaded log");
-    assert_eq!(a.events, b.events, "merged event streams diverge");
-
-    // The continuous-telemetry series are part of the contract too:
-    // window boundaries are exact-cycle events, so the per-channel
-    // series must be bit-identical between the serial and threaded
-    // walks.
-    let ms = serial.run.metrics.as_ref().expect("serial metrics");
-    let mt = threaded.run.metrics.as_ref().expect("threaded metrics");
-    assert_eq!(ms.per_channel, mt.per_channel, "metrics series diverge");
-    assert_eq!(ms.system(), mt.system());
-    assert_eq!(serial.policy_series, threaded.policy_series);
-
-    // And a traced threaded run is still inert next to an untraced one.
-    let untraced = run_threaded(None, 2);
-    assert_eq!(untraced.run.ipc, threaded.run.ipc);
-    assert_eq!(untraced.run.mem, threaded.run.mem);
-    assert_eq!(untraced.rows_remapped, threaded.rows_remapped);
 }
 
 #[test]
