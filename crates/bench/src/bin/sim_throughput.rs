@@ -101,17 +101,14 @@ fn run_saturated(mode: &'static str, skip_ahead: bool, scale: Scale) -> Sample {
     let mut mem = policy_mem_config(0.0);
     mem.refresh_enabled = true;
     let base = RunConfig {
-        mem,
-        cluster: policy_cluster(),
-        budget_insts: scale.budget_insts(),
-        warmup_insts: scale.warmup_insts(),
-        seed: 42,
         skip_ahead,
-        trace: None,
-        metrics: None,
-        threads: 1,
-        clamp_threads: true,
-        blame: false,
+        ..RunConfig::new(
+            mem,
+            policy_cluster(),
+            scale.budget_insts(),
+            scale.warmup_insts(),
+            42,
+        )
     };
     let cfg = PolicyRunConfig::new(
         base,
@@ -175,17 +172,14 @@ fn run_contention(mode: &'static str, skip_ahead: bool, scale: Scale) -> Sample 
     mem.refresh_enabled = true;
     mem.relocation = RelocationConfig::background_paced();
     let base = RunConfig {
-        mem,
-        cluster: policy_cluster(),
-        budget_insts: scale.budget_insts(),
-        warmup_insts: scale.warmup_insts(),
-        seed: 42,
         skip_ahead,
-        trace: None,
-        metrics: None,
-        threads: 1,
-        clamp_threads: true,
-        blame: false,
+        ..RunConfig::new(
+            mem,
+            policy_cluster(),
+            scale.budget_insts(),
+            scale.warmup_insts(),
+            42,
+        )
     };
     let cfg = PolicyRunConfig::new(
         base,

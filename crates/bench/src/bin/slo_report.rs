@@ -40,17 +40,16 @@ fn run(scale: Scale, metrics: Option<MetricsConfig>, blame: bool) -> PolicyRunRe
     mem.relocation = RelocationConfig::background_paced();
     mem.placement = DestinationPicker::SameBank;
     let base = RunConfig {
-        mem,
-        cluster: policy_cluster(),
-        budget_insts: scale.budget_insts(),
-        warmup_insts: scale.warmup_insts(),
-        seed: SEED,
         skip_ahead: std::env::var("CLR_FORCE_PER_CYCLE").is_err(),
-        trace: None,
         metrics,
-        threads: 1,
-        clamp_threads: true,
         blame,
+        ..RunConfig::new(
+            mem,
+            policy_cluster(),
+            scale.budget_insts(),
+            scale.warmup_insts(),
+            SEED,
+        )
     };
     let cfg = PolicyRunConfig::new(
         base,

@@ -29,19 +29,16 @@ fn instance_run_config(spec: &InstanceSpec, tenant_budget: u64, seed: u64) -> Ru
         mem.relocation = RelocationConfig::background();
     }
     RunConfig {
-        mem,
-        cluster: policy_cluster(),
-        budget_insts: tenant_budget,
-        warmup_insts: spec.warmup_insts,
-        seed,
-        skip_ahead: true,
-        trace: None,
-        metrics: None,
-        threads: 1,
-        clamp_threads: true,
         // Attribution on for every instance: the fleet report fuses
         // per-cause blame distributions across the whole roster.
         blame: true,
+        ..RunConfig::new(
+            mem,
+            policy_cluster(),
+            tenant_budget,
+            spec.warmup_insts,
+            seed,
+        )
     }
 }
 

@@ -58,10 +58,8 @@
 //! outside the tRRD shadow of imminent demand activates; once a phase's
 //! ACT has issued, the burst train finishes contiguously, and a job that
 //! demand is actually waiting on finishes at demand priority. Same-bank
-//! write-back phases preferentially ride write-drain episodes. Under
-//! [`RelocationMode::DeadlineBoosted`] a job that has waited longer
-//! than its deadline may also start ahead of demand. An optional
-//! [`MigrationRate`] caps job starts per cycle window.
+//! write-back phases preferentially ride write-drain episodes. An
+//! optional [`MigrationRate`] caps job starts per cycle window.
 //!
 //! The engine is driven by the controller, which owns all protocol state;
 //! this module tracks job progress and answers two questions the
@@ -92,14 +90,6 @@ pub enum RelocationMode {
     /// only in idle bank slots; an in-flight job finishes eagerly so its
     /// bank unblocks quickly.
     Background,
-    /// Background migration, but a job that has been pending longer than
-    /// `deadline_cycles` may also *start* ahead of demand until the
-    /// backlog is on time again.
-    DeadlineBoosted {
-        /// Pending age (in DRAM cycles, from dispatch) past which
-        /// migration job starts take priority over demand.
-        deadline_cycles: u64,
-    },
 }
 
 /// Rate limit on background-migration bandwidth: at most `max_starts`
@@ -252,7 +242,7 @@ pub struct MigrationJob {
     /// Mode after the transition (couplings only; frame moves keep
     /// max-capacity).
     pub to: RowMode,
-    /// Cycle the job was dispatched (drives the deadline boost).
+    /// Cycle the job was dispatched, for end-to-end job latency.
     pub dispatched_at: u64,
     state: JobState,
 }
@@ -856,21 +846,6 @@ impl MigrationEngine {
         self.pending_jobs += 1;
     }
 
-    /// Whether bank `b` has a queued (not yet started) job past the
-    /// deadline-boost threshold at `now` (always `false` outside
-    /// [`RelocationMode::DeadlineBoosted`]).
-    pub fn is_overdue_start(&self, bank: usize, now: u64) -> bool {
-        let RelocationMode::DeadlineBoosted { deadline_cycles } = self.cfg.mode else {
-            return false;
-        };
-        if self.start_blocked(bank) {
-            return false;
-        }
-        self.queues
-            .front(bank)
-            .is_some_and(|j| now.saturating_sub(j.dispatched_at) >= deadline_cycles)
-    }
-
     /// Whether the front job of `bank`'s queue cannot start because a
     /// migration role already occupies one of its banks.
     fn start_blocked(&self, bank: usize) -> bool {
@@ -902,22 +877,6 @@ impl MigrationEngine {
             return None;
         }
         self.queues.front(bank).map(Self::start_target)
-    }
-
-    /// The cycle from which a queued job on `bank` may start *despite
-    /// demand* (an open row, or queued demand entries): never under pure
-    /// background — the start waits for a demand-free closed bank — and
-    /// the job's deadline under [`RelocationMode::DeadlineBoosted`].
-    pub fn boosted_start_at(&self, bank: usize) -> Option<u64> {
-        let RelocationMode::DeadlineBoosted { deadline_cycles } = self.cfg.mode else {
-            return None;
-        };
-        if self.start_blocked(bank) {
-            return None;
-        }
-        self.queues
-            .front(bank)
-            .map(|j| j.dispatched_at.saturating_add(deadline_cycles))
     }
 
     /// The earliest cycle ≥ `now` at which the rate limiter permits a
@@ -1100,15 +1059,13 @@ impl MigrationEngine {
 
     /// The command migration would issue next on `bank`, given the bank's
     /// open row/mode (`None` when the bank has no migration work it may
-    /// progress at `now`). Pure bookkeeping: timing readiness is the
+    /// progress). Pure bookkeeping: timing readiness is the
     /// controller's engine's call. A queued job starts with ACT on a
-    /// closed bank, and may start by precharging an open bank only once
-    /// overdue under deadline-boosted priority.
+    /// closed bank; an open bank is demand territory.
     pub fn next_command(
         &self,
         bank: usize,
         open: Option<(u32, RowMode)>,
-        now: u64,
     ) -> Option<NextMigrationCommand> {
         if let Some(job) = self.active[bank].as_ref() {
             if let Some(cmd) = Self::src_side_command(job, open) {
@@ -1128,27 +1085,15 @@ impl MigrationEngine {
         if self.active[bank].is_some() {
             return None;
         }
-        let (srow, smode) = self.queued_start(bank)?;
-        match open {
-            // An open bank is demand territory: only an overdue job under
-            // deadline boost may close it to start.
-            Some((row, mode)) => {
-                if self.is_overdue_start(bank, now) {
-                    Some(NextMigrationCommand {
-                        command: Command::Pre,
-                        row,
-                        mode,
-                    })
-                } else {
-                    None
-                }
-            }
-            None => Some(NextMigrationCommand {
-                command: Command::Act,
-                row: srow,
-                mode: smode,
-            }),
+        if open.is_some() {
+            return None;
         }
+        let (row, mode) = self.queued_start(bank)?;
+        Some(NextMigrationCommand {
+            command: Command::Act,
+            row,
+            mode,
+        })
     }
 
     /// Records that a migration ACT issued on `bank` (installs the
@@ -1231,18 +1176,16 @@ impl MigrationEngine {
         *wr_remaining -= 1;
     }
 
-    /// Records that a migration PRE issued on `bank`: a starting PRE
-    /// that closes a demand row (job still queued), a side's
+    /// Records that a migration PRE issued on `bank`: a side's
     /// phase-ending PRE, or a demand-row close before a side's
     /// (re-)ACT. Returns the resulting step so the controller can apply
     /// couple points, completions, and placement bookkeeping.
-    pub fn note_pre(&mut self, bank: usize, now: u64) -> MigrationStep {
+    pub fn note_pre(&mut self, bank: usize) -> MigrationStep {
         self.bump(bank);
-        if self.active[bank].is_none() && self.dest_of[bank].is_none() {
-            // Starting PRE: the job takes ownership; its first ACT is next.
-            self.start(bank, now);
-            return MigrationStep::InProgress;
-        }
+        debug_assert!(
+            self.active[bank].is_some() || self.dest_of[bank].is_some(),
+            "migration PRE on a bank no job owns"
+        );
         // Source side?
         if let Some(job) = self.active[bank] {
             match job.state {
@@ -1584,7 +1527,7 @@ mod tests {
 
         // Bank closed → first command is the read-out ACT in the old mode.
         assert_eq!(e.queued_start(1), Some((7, RowMode::MaxCapacity)));
-        let c = e.next_command(1, None, 0).unwrap();
+        let c = e.next_command(1, None).unwrap();
         assert_eq!(c.command, Command::Act);
         assert_eq!(c.mode, RowMode::MaxCapacity);
         assert_eq!(c.row, 7);
@@ -1594,17 +1537,13 @@ mod tests {
 
         assert_eq!(e.blocked_row(1), Some(7), "read-out blocks the source");
         for i in 0..16 {
-            let c = e
-                .next_command(1, Some((7, RowMode::MaxCapacity)), 10 + i)
-                .unwrap();
+            let c = e.next_command(1, Some((7, RowMode::MaxCapacity))).unwrap();
             assert_eq!(c.command, Command::Rd, "burst {i}");
             e.note_column(1, 10 + i);
         }
-        let c = e
-            .next_command(1, Some((7, RowMode::MaxCapacity)), 99)
-            .unwrap();
+        let c = e.next_command(1, Some((7, RowMode::MaxCapacity))).unwrap();
         assert_eq!(c.command, Command::Pre);
-        let step = e.note_pre(1, 100);
+        let step = e.note_pre(1);
         assert_eq!(
             step,
             MigrationStep::Couple {
@@ -1616,19 +1555,17 @@ mod tests {
         // Write-back activates the destination frame (max-capacity): the
         // coupled source row is demand-usable from the couple point on.
         assert_eq!(e.blocked_row(1), Some(40), "block moves to the dest");
-        let c = e.next_command(1, None, 110).unwrap();
+        let c = e.next_command(1, None).unwrap();
         assert_eq!(c.command, Command::Act);
         assert_eq!(c.row, 40);
         assert_eq!(c.mode, RowMode::MaxCapacity);
         e.note_act(1, 120);
         for i in 0..16 {
-            let c = e
-                .next_command(1, Some((40, RowMode::MaxCapacity)), 130 + i)
-                .unwrap();
+            let c = e.next_command(1, Some((40, RowMode::MaxCapacity))).unwrap();
             assert_eq!(c.command, Command::Wr, "burst {i}");
             e.note_column(1, 130 + i);
         }
-        let step = e.note_pre(1, 300);
+        let step = e.note_pre(1);
         assert_eq!(
             step,
             MigrationStep::Complete {
@@ -1651,46 +1588,9 @@ mod tests {
         e.dispatch(0, 3, 40, RowMode::MaxCapacity, RowMode::HighPerformance, 0);
         // The bank is open with a demand row: no start command until the
         // bank closes (demand territory).
-        assert!(e
-            .next_command(0, Some((9, RowMode::MaxCapacity)), 1_000_000)
-            .is_none());
-        assert_eq!(e.boosted_start_at(0), None);
+        assert!(e.next_command(0, Some((9, RowMode::MaxCapacity))).is_none());
         // Once closed, the start ACT is offered.
-        let c = e.next_command(0, None, 1_000_000).unwrap();
-        assert_eq!(c.command, Command::Act);
-        assert_eq!(c.row, 3);
-    }
-
-    #[test]
-    fn overdue_deadline_start_precharges_the_open_demand_row() {
-        let mut e = MigrationEngine::new(
-            RelocationConfig {
-                mode: RelocationMode::DeadlineBoosted {
-                    deadline_cycles: 100,
-                },
-                rate: None,
-            },
-            4,
-            1024,
-            64,
-        );
-        e.dispatch(0, 3, 40, RowMode::MaxCapacity, RowMode::HighPerformance, 50);
-        assert_eq!(e.boosted_start_at(0), Some(150));
-        // Before the deadline: the open bank is left to demand.
-        assert!(!e.is_overdue_start(0, 149));
-        assert!(e
-            .next_command(0, Some((9, RowMode::MaxCapacity)), 149)
-            .is_none());
-        // Past it: the start may close the demand row.
-        assert!(e.is_overdue_start(0, 150));
-        let c = e
-            .next_command(0, Some((9, RowMode::MaxCapacity)), 150)
-            .unwrap();
-        assert_eq!(c.command, Command::Pre);
-        assert_eq!(c.row, 9, "closes the demand row, not the job row");
-        assert_eq!(e.note_pre(0, 150), MigrationStep::InProgress);
-        assert!(e.is_busy(0), "the starting PRE takes bank ownership");
-        let c = e.next_command(0, None, 151).unwrap();
+        let c = e.next_command(0, None).unwrap();
         assert_eq!(c.command, Command::Act);
         assert_eq!(c.row, 3);
     }
@@ -1702,13 +1602,13 @@ mod tests {
         e.note_act(2, 0);
         e.note_column(2, 10);
         e.on_forced_precharge(2);
-        let c = e.next_command(2, None, 50).unwrap();
+        let c = e.next_command(2, None).unwrap();
         assert_eq!(c.command, Command::Act, "phase re-activates after refresh");
         e.note_act(2, 50);
         // The burst already transferred stays transferred.
         let mut remaining = 0;
         while e
-            .next_command(2, Some((1, RowMode::MaxCapacity)), 60 + remaining)
+            .next_command(2, Some((1, RowMode::MaxCapacity)))
             .unwrap()
             .command
             == Command::Rd
@@ -1774,7 +1674,7 @@ mod tests {
         assert!(!e.is_row_pending(1, 40));
 
         // The start is the source ACT on the owning bank.
-        let c = e.next_command(1, None, 0).unwrap();
+        let c = e.next_command(1, None).unwrap();
         assert_eq!((c.command, c.row), (Command::Act, 7));
         e.note_act(1, 0);
         assert!(e.is_busy(1) && e.is_busy(3), "both banks carry a role");
@@ -1783,7 +1683,7 @@ mod tests {
 
         // The destination ACT is offered immediately — concurrent with
         // the read-out.
-        let c = e.next_command(3, None, 1).unwrap();
+        let c = e.next_command(3, None).unwrap();
         assert_eq!(
             (c.command, c.row, c.mode),
             (Command::Act, 40, RowMode::MaxCapacity)
@@ -1793,22 +1693,18 @@ mod tests {
 
         // Writes stay strictly behind reads.
         assert!(
-            e.next_command(3, Some((40, RowMode::MaxCapacity)), 2)
+            e.next_command(3, Some((40, RowMode::MaxCapacity)))
                 .is_none(),
             "no data read yet → no write burst"
         );
-        let c = e
-            .next_command(1, Some((7, RowMode::MaxCapacity)), 2)
-            .unwrap();
+        let c = e.next_command(1, Some((7, RowMode::MaxCapacity))).unwrap();
         assert_eq!(c.command, Command::Rd);
         e.note_column(1, 2);
-        let c = e
-            .next_command(3, Some((40, RowMode::MaxCapacity)), 3)
-            .unwrap();
+        let c = e.next_command(3, Some((40, RowMode::MaxCapacity))).unwrap();
         assert_eq!(c.command, Command::Wr, "one read releases one write");
         e.note_column(3, 3);
         assert!(e
-            .next_command(3, Some((40, RowMode::MaxCapacity)), 4)
+            .next_command(3, Some((40, RowMode::MaxCapacity)))
             .is_none());
 
         // Drain the remaining reads; writes catch up but the destination
@@ -1817,24 +1713,20 @@ mod tests {
             e.note_column(1, 10 + i);
         }
         for i in 0..15 {
-            let c = e
-                .next_command(3, Some((40, RowMode::MaxCapacity)), 40 + i)
-                .unwrap();
+            let c = e.next_command(3, Some((40, RowMode::MaxCapacity))).unwrap();
             assert_eq!(c.command, Command::Wr);
             e.note_column(3, 40 + i);
         }
         assert!(
-            e.next_command(3, Some((40, RowMode::MaxCapacity)), 60)
+            e.next_command(3, Some((40, RowMode::MaxCapacity)))
                 .is_none(),
             "write-back complete but the couple point has not passed"
         );
         // Source PRE = the couple point; the source bank frees entirely.
-        let c = e
-            .next_command(1, Some((7, RowMode::MaxCapacity)), 61)
-            .unwrap();
+        let c = e.next_command(1, Some((7, RowMode::MaxCapacity))).unwrap();
         assert_eq!(c.command, Command::Pre);
         assert_eq!(
-            e.note_pre(1, 61),
+            e.note_pre(1),
             MigrationStep::Couple {
                 row: 7,
                 to: RowMode::HighPerformance
@@ -1843,12 +1735,10 @@ mod tests {
         assert_eq!(e.blocked_row(1), None, "source bank freed at couple");
         assert!(e.is_busy(1), "owner stays busy until the move lands");
         // Destination PRE completes the job.
-        let c = e
-            .next_command(3, Some((40, RowMode::MaxCapacity)), 70)
-            .unwrap();
+        let c = e.next_command(3, Some((40, RowMode::MaxCapacity))).unwrap();
         assert_eq!(c.command, Command::Pre);
         assert_eq!(
-            e.note_pre(3, 70),
+            e.note_pre(3),
             MigrationStep::Complete {
                 row: 7,
                 to: RowMode::HighPerformance,
@@ -1902,7 +1792,7 @@ mod tests {
             None,
             "second job's dest bank is occupied"
         );
-        assert!(e.next_command(1, None, 5).is_none());
+        assert!(e.next_command(1, None).is_none());
         // A bank serving as a destination cannot start its own queue
         // either.
         e.dispatch(2, 9, 50, RowMode::MaxCapacity, RowMode::HighPerformance, 0);
@@ -1915,13 +1805,13 @@ mod tests {
         // Cross-channel stage 1: read the full row out.
         assert!(e.dispatch_evacuate_out(0, 9, 0));
         assert_eq!(e.bursts_per_frame_move(), 32);
-        let c = e.next_command(0, None, 0).unwrap();
+        let c = e.next_command(0, None).unwrap();
         assert_eq!((c.command, c.row), (Command::Act, 9));
         e.note_act(0, 0);
         for i in 0..32 {
             e.note_column(0, 1 + i);
         }
-        let step = e.note_pre(0, 50);
+        let step = e.note_pre(0);
         assert_eq!(
             step,
             MigrationStep::StagedOut {
@@ -1941,20 +1831,18 @@ mod tests {
         // system's reservation.
         assert!(e.reserve(2, 17));
         assert!(e.dispatch_fill(2, 17, true, 60));
-        let c = e.next_command(2, None, 60).unwrap();
+        let c = e.next_command(2, None).unwrap();
         assert_eq!(
             (c.command, c.row, c.mode),
             (Command::Act, 17, RowMode::MaxCapacity)
         );
         e.note_act(2, 60);
         for i in 0..32 {
-            let c = e
-                .next_command(2, Some((17, RowMode::MaxCapacity)), 61 + i)
-                .unwrap();
+            let c = e.next_command(2, Some((17, RowMode::MaxCapacity))).unwrap();
             assert_eq!(c.command, Command::Wr, "burst {i}");
             e.note_column(2, 61 + i);
         }
-        let step = e.note_pre(2, 120);
+        let step = e.note_pre(2);
         assert_eq!(
             step,
             MigrationStep::Filled {
@@ -1983,9 +1871,9 @@ mod tests {
             e.note_column(0, 2 + i);
             e.note_column(1, 3 + i);
         }
-        assert_eq!(e.note_pre(0, 80), MigrationStep::InProgress);
+        assert_eq!(e.note_pre(0), MigrationStep::InProgress);
         assert_eq!(
-            e.note_pre(1, 90),
+            e.note_pre(1),
             MigrationStep::Evacuated {
                 bank: 0,
                 row: 9,

@@ -712,7 +712,7 @@ impl MemorySystem {
     /// channel's [`MemStats::read_blame`]/[`MemStats::write_blame`] and
     /// fuse through [`MemorySystem::fused_stats`] like every other
     /// statistic. Inert: simulated outcomes are bit-identical with or
-    /// without it (the workspace `blame_inertness` differential
+    /// without it (the workspace `observer_inertness` differential
     /// enforces this).
     pub fn enable_blame(&mut self) {
         for ch in &mut self.channels {

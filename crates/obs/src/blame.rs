@@ -10,8 +10,8 @@
 //! per-cause budget of a completed request sums *exactly* to its
 //! measured latency, and because dead cycles charge nothing at the time
 //! they elapse, the budgets are bit-identical across per-cycle and
-//! skip-ahead walks (the workspace
-//! `blame_inertness` differential enforces both properties).
+//! skip-ahead walks (the workspace `observer_inertness` differential
+//! enforces both properties).
 //!
 //! A [`BlameSet`] aggregates the per-request budgets as one
 //! [`LatencyHistogram`] per cause, with the same exact `merge` /

@@ -17,9 +17,8 @@
 //! * [`trace`] — [`TraceSink`]: a bounded ring buffer of categorized
 //!   events (DRAM commands, migration-job lifecycle, policy-epoch
 //!   decisions, frame moves/remaps) serializing to Chrome trace-event
-//!   JSON for Perfetto. Enabled per run via `CLR_TRACE`
-//!   ([`TraceConfig::from_env`]); with no sink installed the
-//!   instrumentation sites cost one pointer test.
+//!   JSON for Perfetto. Enabled per run by a [`TraceConfig`]; with no
+//!   sink installed the instrumentation sites cost one pointer test.
 //! * [`profile`] — [`SkipProfile`]: host-side counters for the
 //!   event-driven skip-ahead walk (jump-length histogram, per-source
 //!   trigger counts, event density per kilocycle). Deliberately *not*
@@ -30,8 +29,7 @@
 //!   statistics deltas — counters, gauges, and windowed tail
 //!   latencies — with exact bucket-wise `merge` for
 //!   per-channel→system fusion, and Chrome trace-event counter-track
-//!   export. Enabled per run via `CLR_METRICS`
-//!   ([`MetricsConfig::from_env`]).
+//!   export. Enabled per run by a [`MetricsConfig`].
 //! * [`slo`] — [`SloSpec`]/[`SloReport`]: declarative service-level
 //!   objectives over the series (error budgets, multi-window
 //!   burn-rate alerts), producing machine-checkable verdicts.

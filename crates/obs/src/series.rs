@@ -13,14 +13,12 @@
 //! boundary is an event source the skip-ahead walk never jumps past
 //! (exactly like policy epochs), so the series a per-cycle walk and a
 //! skip-ahead walk produce are bit-identical — enforced by the
-//! workspace metrics differential test. Like tracing, metrics are
+//! workspace observer differential test. Like tracing, metrics are
 //! *inert*: recording them changes no simulated outcome.
 //!
-//! Metrics are configured per run via [`MetricsConfig`], usually
-//! resolved from the `CLR_METRICS` environment variable
-//! ([`MetricsConfig::from_env`]): `CLR_METRICS=1` samples at the default
-//! interval, `CLR_METRICS=<cycles>` at that interval, unset/`0`
-//! disables the layer entirely (no snapshots are taken at all).
+//! Metrics are configured per run via [`MetricsConfig`]
+//! ([`MetricsConfig::every`] for a custom interval); a run without one
+//! takes no snapshots at all.
 
 use std::collections::VecDeque;
 
@@ -28,7 +26,7 @@ use crate::blame::BlameSet;
 use crate::hist::LatencyHistogram;
 use crate::trace::{TraceCategory, TraceEvent};
 
-/// Default sampling interval in DRAM cycles (`CLR_METRICS=1`).
+/// Default sampling interval in DRAM cycles.
 pub const DEFAULT_INTERVAL_CYCLES: u64 = 10_000;
 
 /// Default ring-buffer capacity in windows per series.
@@ -61,29 +59,6 @@ impl MetricsConfig {
             interval_cycles: interval_cycles.max(1),
             ..MetricsConfig::default()
         }
-    }
-
-    /// Resolves metrics from the `CLR_METRICS` environment variable:
-    /// `None` when unset, empty, `0`, or `off`; the default interval for
-    /// `1`/`on`/`all`/`true`; otherwise the value parsed as an interval
-    /// in DRAM cycles. `CLR_METRICS_CAPACITY` overrides the per-series
-    /// ring size.
-    pub fn from_env() -> Option<MetricsConfig> {
-        let v = std::env::var("CLR_METRICS").ok()?;
-        let interval_cycles = match v.trim() {
-            "" | "0" | "off" | "false" => return None,
-            "1" | "on" | "all" | "true" => DEFAULT_INTERVAL_CYCLES,
-            s => s.parse::<u64>().ok().filter(|&n| n > 0)?,
-        };
-        let capacity = std::env::var("CLR_METRICS_CAPACITY")
-            .ok()
-            .and_then(|c| c.parse().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(DEFAULT_CAPACITY);
-        Some(MetricsConfig {
-            interval_cycles,
-            capacity,
-        })
     }
 }
 

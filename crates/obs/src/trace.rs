@@ -12,13 +12,11 @@
 //! (`pid` = channel index), system-level events under the
 //! [`SYSTEM_PID`] pseudo-process.
 //!
-//! Tracing is configured per run via [`TraceConfig`], usually resolved
-//! from the `CLR_TRACE` environment variable
-//! ([`TraceConfig::from_env`]): `CLR_TRACE=1` (or `all`) enables every
-//! category, `CLR_TRACE=commands,migration` a subset, unset/`0`
-//! disables tracing entirely. Instrumentation is *inert*: enabling a
-//! sink changes no simulated outcome (cycle counts, statistics, command
-//! streams — enforced by the workspace tracing differential test).
+//! Tracing is configured per run via [`TraceConfig`]; a category filter
+//! parses from text with [`CategorySet::parse`] (`commands,migration`).
+//! Instrumentation is *inert*: enabling a sink changes no simulated
+//! outcome (cycle counts, statistics, command streams — enforced by the
+//! workspace observer differential test).
 
 use std::collections::VecDeque;
 
@@ -62,7 +60,7 @@ impl TraceCategory {
     ];
 
     /// The category's stable lowercase label (used in the JSON `cat`
-    /// field and in `CLR_TRACE` filters).
+    /// field and in [`CategorySet::parse`] lists).
     pub fn label(self) -> &'static str {
         match self {
             TraceCategory::Commands => "commands",
@@ -122,24 +120,27 @@ impl CategorySet {
     }
 
     /// Parses a comma-separated category list (`"commands,migration"`);
-    /// `"1"`, `"all"`, and `"on"` mean every category. Unknown names are
-    /// ignored; an all-unknown list yields the empty set.
-    pub fn parse(s: &str) -> Self {
+    /// `"1"`, `"all"`, `"on"` and `"true"` mean every category, `"0"`,
+    /// `"off"`, `"false"` and the empty string none.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first list entry that names no category.
+    pub fn parse(s: &str) -> Result<Self, String> {
         match s.trim() {
-            "1" | "all" | "on" | "true" => return CategorySet::all(),
-            "" | "0" | "off" | "false" => return CategorySet::none(),
+            "1" | "all" | "on" | "true" => return Ok(CategorySet::all()),
+            "" | "0" | "off" | "false" => return Ok(CategorySet::none()),
             _ => {}
         }
         let mut set = CategorySet::none();
-        for part in s.split(',') {
-            let part = part.trim();
-            for c in TraceCategory::ALL {
-                if part == c.label() {
-                    set = set.with(c);
-                }
-            }
+        for part in s.split(',').map(str::trim) {
+            let cat = TraceCategory::ALL
+                .into_iter()
+                .find(|c| c.label() == part)
+                .ok_or_else(|| part.to_string())?;
+            set = set.with(cat);
         }
-        set
+        Ok(set)
     }
 }
 
@@ -159,28 +160,6 @@ impl Default for TraceConfig {
             categories: CategorySet::all(),
             capacity: 1 << 16,
         }
-    }
-}
-
-impl TraceConfig {
-    /// Resolves tracing from the `CLR_TRACE` environment variable (see
-    /// the module docs); `None` when unset, empty, or disabled —
-    /// simulations then install no sink at all and tracing costs
-    /// nothing. `CLR_TRACE_CAPACITY` overrides the per-sink ring size.
-    pub fn from_env() -> Option<TraceConfig> {
-        let v = std::env::var("CLR_TRACE").ok()?;
-        let categories = CategorySet::parse(&v);
-        if categories.is_empty() {
-            return None;
-        }
-        let capacity = std::env::var("CLR_TRACE_CAPACITY")
-            .ok()
-            .and_then(|c| c.parse().ok())
-            .unwrap_or(1 << 16);
-        Some(TraceConfig {
-            categories,
-            capacity,
-        })
     }
 }
 
@@ -469,14 +448,18 @@ mod tests {
 
     #[test]
     fn category_parsing() {
-        assert_eq!(CategorySet::parse("1"), CategorySet::all());
-        assert_eq!(CategorySet::parse("all"), CategorySet::all());
-        assert_eq!(CategorySet::parse("0"), CategorySet::none());
-        let s = CategorySet::parse("commands, migration");
+        assert_eq!(CategorySet::parse("1"), Ok(CategorySet::all()));
+        assert_eq!(CategorySet::parse("all"), Ok(CategorySet::all()));
+        assert_eq!(CategorySet::parse("0"), Ok(CategorySet::none()));
+        let s = CategorySet::parse("commands, migration").unwrap();
         assert!(s.contains(TraceCategory::Commands));
         assert!(s.contains(TraceCategory::Migration));
         assert!(!s.contains(TraceCategory::Policy));
-        assert!(CategorySet::parse("bogus").is_empty());
+        assert_eq!(CategorySet::parse("bogus"), Err("bogus".into()));
+        assert_eq!(
+            CategorySet::parse("commands,migraton"),
+            Err("migraton".into())
+        );
     }
 
     #[test]

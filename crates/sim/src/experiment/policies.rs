@@ -374,31 +374,27 @@ fn run_cell(spec: &CellSpec, scale: Scale, seed: u64) -> PolicyCell {
     mem.relocation = spec.reloc;
     mem.placement = spec.placement;
     let base = RunConfig {
-        mem,
-        cluster: policy_cluster(),
-        budget_insts: scale.budget_insts(),
-        warmup_insts: scale.warmup_insts(),
-        seed,
         // Skip-ahead is bit-identical to per-cycle stepping; the env
         // escape hatch forces the reference walk for A/B timing and for
         // bisecting a suspected divergence without a rebuild.
         skip_ahead: std::env::var("CLR_FORCE_PER_CYCLE").is_err(),
-        trace: None,
         // Every cell runs with continuous telemetry on — metrics are
         // inert (proven by the workspace differential test), and the
         // windowed series is what the SLO verdict evaluates. One window
         // per policy epoch aligns the sampling grid with the decision
         // grid.
-        metrics: Some(MetricsConfig {
-            interval_cycles: epoch_cycles(scale),
-            capacity: 4_096,
-        }),
-        threads: 1,
-        clamp_threads: true,
+        metrics: Some(MetricsConfig::every(epoch_cycles(scale))),
         // Wait-cause attribution rides along: the blame ledger is inert
         // (differential-tested) and the sweep schema reports per-cause
         // latency fractions for every cell.
         blame: true,
+        ..RunConfig::new(
+            mem,
+            policy_cluster(),
+            scale.budget_insts(),
+            scale.warmup_insts(),
+            seed,
+        )
     };
     let cfg = PolicyRunConfig::new(
         base,

@@ -36,8 +36,8 @@ use clr_memsim::request::{Completion, MemRequest, RequestKind};
 use clr_memsim::stats::MemStats;
 use clr_memsim::system::MemorySystem;
 use clr_obs::{
-    ChannelSample, MetricsConfig, MetricsRecorder, SeriesCounters, SeriesGauges, SkipProfile,
-    TimeSeries, TraceCategory, TraceConfig, TraceLog, SYSTEM_PID,
+    CategorySet, ChannelSample, MetricsConfig, MetricsRecorder, SeriesCounters, SeriesGauges,
+    SkipProfile, TimeSeries, TraceCategory, TraceConfig, TraceLog, SYSTEM_PID,
 };
 use clr_power::{energy_of_run, EnergyBreakdown, IddParams};
 use clr_trace::workload::Workload;
@@ -82,10 +82,12 @@ pub struct RunConfig {
     /// [`clr_obs::series`](clr_obs::MetricsConfig)).
     pub metrics: Option<MetricsConfig>,
     /// Ignored: the channel walk is always serial. Kept so existing
-    /// struct literals compile; set it to `1`. Parallelism runs whole
-    /// simulations as jobs on [`clr_memsim::Executor`] instead.
+    /// struct literals compile; [`RunConfig::new`] sets it to `1`.
+    /// Parallelism runs whole simulations as jobs on
+    /// [`clr_memsim::Executor`] instead.
     pub threads: usize,
-    /// Ignored, like [`RunConfig::threads`]; set it to `true`.
+    /// Ignored, like [`RunConfig::threads`]; [`RunConfig::new`] sets it
+    /// to `true`.
     pub clamp_threads: bool,
     /// Per-request wait-cause attribution (off by default; inert, like
     /// tracing and metrics): every completed demand request's
@@ -94,37 +96,110 @@ pub struct RunConfig {
     /// [`MemStats::read_blame`](clr_memsim::stats::MemStats)/`write_blame`
     /// and windowed into the telemetry series when metrics are also on.
     /// [`RunConfig::paper`] resolves this from the `CLR_BLAME`
-    /// environment variable (`1`/`on`/`true` enables).
+    /// environment variable.
     pub blame: bool,
 }
 
 impl RunConfig {
-    /// Paper-configured system at the given scale knobs. Tracing follows
-    /// the `CLR_TRACE` environment variable; continuous telemetry
-    /// follows `CLR_METRICS`.
-    pub fn paper(mem: MemConfig, budget_insts: u64, warmup_insts: u64, seed: u64) -> Self {
+    /// A skip-ahead run with every observer off — the base every other
+    /// configuration is a struct update on
+    /// (`RunConfig { blame: true, ..RunConfig::new(..) }`).
+    pub fn new(
+        mem: MemConfig,
+        cluster: ClusterConfig,
+        budget_insts: u64,
+        warmup_insts: u64,
+        seed: u64,
+    ) -> Self {
         RunConfig {
             mem,
-            cluster: ClusterConfig::paper(),
+            cluster,
             budget_insts,
             warmup_insts,
             seed,
             skip_ahead: true,
-            trace: TraceConfig::from_env(),
-            metrics: MetricsConfig::from_env(),
+            trace: None,
+            metrics: None,
             threads: 1,
             clamp_threads: true,
-            blame: blame_from_env(),
+            blame: false,
         }
+    }
+
+    /// Paper-configured system at the given scale knobs, with its
+    /// observers taken from the `CLR_TRACE`, `CLR_METRICS` and
+    /// `CLR_BLAME` environment variables (unset means off).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an observer variable holds a malformed value.
+    pub fn paper(mem: MemConfig, budget_insts: u64, warmup_insts: u64, seed: u64) -> Self {
+        with_env_observers(
+            RunConfig::new(
+                mem,
+                ClusterConfig::paper(),
+                budget_insts,
+                warmup_insts,
+                seed,
+            ),
+            |name| std::env::var(name).ok(),
+        )
     }
 }
 
-/// Wait-cause attribution from the `CLR_BLAME` environment variable
-/// (`1`/`on`/`true`/`all` enables; unset or anything else disables).
-pub fn blame_from_env() -> bool {
-    std::env::var("CLR_BLAME")
-        .map(|v| matches!(v.trim(), "1" | "on" | "true" | "all"))
-        .unwrap_or(false)
+/// Sets `cfg`'s observers from the `CLR_TRACE`, `CLR_METRICS` and
+/// `CLR_BLAME` values `var` reports — the one place the workspace reads
+/// these variables. An unset variable leaves its observer as `cfg` has
+/// it; every variable takes `1`/`on`/`true`/`all` and
+/// `0`/`off`/`false`/empty, `CLR_TRACE` also a comma-separated category
+/// list (`commands,migration`) and `CLR_METRICS` a sampling interval in
+/// DRAM cycles (`5000`). Anything else panics with the variable, the
+/// value and the accepted forms: a typo must not silently turn an
+/// observer off.
+fn with_env_observers(mut cfg: RunConfig, var: impl Fn(&str) -> Option<String>) -> RunConfig {
+    const SWITCH: &str = "1/on/true/all or 0/off/false/empty";
+    fn reject(name: &str, value: &str, accepted: &str) -> ! {
+        panic!("{name}={value:?} is not valid; expected {accepted}")
+    }
+    if let Some(v) = var("CLR_TRACE") {
+        let categories = CategorySet::parse(&v).unwrap_or_else(|_| {
+            let labels: Vec<&str> = TraceCategory::ALL.iter().map(|c| c.label()).collect();
+            reject(
+                "CLR_TRACE",
+                &v,
+                &format!(
+                    "{SWITCH}, or a comma-separated list of {}",
+                    labels.join(", ")
+                ),
+            )
+        });
+        cfg.trace = (!categories.is_empty()).then(|| TraceConfig {
+            categories,
+            ..TraceConfig::default()
+        });
+    }
+    if let Some(v) = var("CLR_METRICS") {
+        cfg.metrics = match v.trim() {
+            "" | "0" | "off" | "false" => None,
+            "1" | "on" | "true" | "all" => Some(MetricsConfig::default()),
+            s => match s.parse::<u64>() {
+                Ok(interval) if interval > 0 => Some(MetricsConfig::every(interval)),
+                _ => reject(
+                    "CLR_METRICS",
+                    &v,
+                    &format!("{SWITCH}, or an interval in DRAM cycles"),
+                ),
+            },
+        };
+    }
+    if let Some(v) = var("CLR_BLAME") {
+        cfg.blame = match v.trim() {
+            "" | "0" | "off" | "false" => false,
+            "1" | "on" | "true" | "all" => true,
+            _ => reject("CLR_BLAME", &v, SWITCH),
+        };
+    }
+    cfg
 }
 
 /// Job-pool width from the `CLR_THREADS` environment variable (default
@@ -348,6 +423,24 @@ impl RunObserver for NoObserver {
     fn after_dram_tick(&mut self, _mem: &mut MemorySystem) {}
 }
 
+/// Boundary work after the memory system advanced, by one tick or by a
+/// skip-ahead landing. The observer runs first, so a policy epoch
+/// sharing the cycle updates budgets and modes before a metrics window
+/// closing there samples them.
+#[inline]
+fn after_advance(
+    observer: &mut dyn RunObserver,
+    mem: &mut MemorySystem,
+    sampler: Option<&mut MetricsSampler>,
+) {
+    observer.after_dram_tick(mem);
+    if let Some(s) = sampler {
+        if s.recorder.due(mem.cycle()) {
+            s.sample(mem.cycle(), mem, observer.channel_budgets());
+        }
+    }
+}
+
 /// Runs `workloads` (one per core) under `cfg` and returns the
 /// measurement-window results.
 ///
@@ -445,15 +538,7 @@ pub(crate) fn run_workloads_observed(
                 cluster.complete_read(c.id);
                 stall_cache = None;
             }
-            observer.after_dram_tick(&mut mem_sys);
-            // Sample after the observer so a policy epoch sharing the
-            // boundary cycle updates budgets/modes first — the same
-            // ordering the skip-ahead landing uses.
-            if let Some(s) = sampler.as_mut() {
-                if s.recorder.due(mem_sys.cycle()) {
-                    s.sample(mem_sys.cycle(), &mem_sys, observer.channel_budgets());
-                }
-            }
+            after_advance(observer, &mut mem_sys, sampler.as_mut());
         }
         if !warmed {
             if (0..n).all(|i| cluster.retired(i) >= cfg.warmup_insts) {
@@ -536,12 +621,7 @@ pub(crate) fn run_workloads_observed(
                         mem_sys.tick_until(due, &mut completions);
                         dram_done = due;
                         debug_assert!(completions.is_empty());
-                        observer.after_dram_tick(&mut mem_sys);
-                        if let Some(s) = sampler.as_mut() {
-                            if s.recorder.due(mem_sys.cycle()) {
-                                s.sample(mem_sys.cycle(), &mem_sys, observer.channel_budgets());
-                            }
-                        }
+                        after_advance(observer, &mut mem_sys, sampler.as_mut());
                     }
                 }
             }
@@ -615,19 +695,78 @@ mod tests {
     use clr_trace::synthetic::synthetic_suite;
 
     fn quick_cfg(mem: MemConfig) -> RunConfig {
-        RunConfig {
-            mem,
-            cluster: ClusterConfig::paper(),
-            budget_insts: 8_000,
-            warmup_insts: 1_000,
-            seed: 7,
-            skip_ahead: true,
-            trace: None,
-            metrics: None,
-            threads: 1,
-            clamp_threads: true,
-            blame: false,
+        RunConfig::new(mem, ClusterConfig::paper(), 8_000, 1_000, 7)
+    }
+
+    /// Resolves observers over an environment holding only `CLR_<var>`
+    /// set to `value`.
+    fn resolve(var: &'static str, value: &'static str) -> RunConfig {
+        let env = move |name: &str| (name.strip_prefix("CLR_") == Some(var)).then(|| value.into());
+        with_env_observers(quick_cfg(MemConfig::paper_baseline()), env)
+    }
+
+    /// The panic message resolving a malformed `CLR_<var>` raises.
+    fn rejection(var: &'static str, value: &'static str) -> String {
+        let err = std::panic::catch_unwind(|| resolve(var, value)).expect_err("must reject");
+        let msg = err.downcast::<String>().expect("formatted panic message");
+        assert!(msg.contains(&format!("CLR_{var}={value:?}")), "{msg}");
+        *msg
+    }
+
+    #[test]
+    fn trace_env_accepts_switches_and_category_lists() {
+        for on in ["1", "on", "true", "all"] {
+            let t = resolve("TRACE", on).trace.expect(on);
+            assert_eq!(t.categories, CategorySet::all());
         }
+        for off in ["0", "off", "false", ""] {
+            assert!(resolve("TRACE", off).trace.is_none(), "{off:?}");
+        }
+        let t = resolve("TRACE", "commands, migration").trace.unwrap();
+        assert!(t.categories.contains(TraceCategory::Commands));
+        assert!(t.categories.contains(TraceCategory::Migration));
+        assert!(!t.categories.contains(TraceCategory::Policy));
+        assert_eq!(t.capacity, TraceConfig::default().capacity);
+        // A misspelled category fails loudly instead of being dropped.
+        assert!(rejection("TRACE", "command").contains("requests"));
+        assert!(rejection("TRACE", "commands,migraton").contains("commands"));
+    }
+
+    #[test]
+    fn metrics_env_accepts_switches_and_intervals() {
+        for on in ["1", "on", "true", "all"] {
+            assert_eq!(
+                resolve("METRICS", on).metrics,
+                Some(MetricsConfig::default())
+            );
+        }
+        for off in ["0", "off", "false", ""] {
+            assert!(resolve("METRICS", off).metrics.is_none(), "{off:?}");
+        }
+        assert_eq!(
+            resolve("METRICS", "5000").metrics,
+            Some(MetricsConfig::every(5_000))
+        );
+        assert!(rejection("METRICS", "5k").contains("interval"));
+        rejection("METRICS", "-3");
+    }
+
+    #[test]
+    fn blame_env_accepts_switches_only() {
+        for on in ["1", "on", "true", "all"] {
+            assert!(resolve("BLAME", on).blame, "{on:?}");
+        }
+        for off in ["0", "off", "false", ""] {
+            assert!(!resolve("BLAME", off).blame, "{off:?}");
+        }
+        assert!(rejection("BLAME", "yes").contains("0/off/false"));
+    }
+
+    #[test]
+    fn unset_env_leaves_every_observer_off() {
+        let cfg = with_env_observers(quick_cfg(MemConfig::paper_baseline()), |_| None);
+        assert!(cfg.trace.is_none() && cfg.metrics.is_none() && !cfg.blame);
+        assert!(cfg.skip_ahead);
     }
 
     #[test]

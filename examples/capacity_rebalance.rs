@@ -29,19 +29,13 @@ fn run(placement: DestinationPicker, scale: Scale) -> PolicyRunResult {
     mem.geometry.channels = 2;
     mem.relocation = RelocationConfig::background_paced();
     mem.placement = placement;
-    let base = RunConfig {
+    let base = RunConfig::new(
         mem,
-        cluster: policy_cluster(),
-        budget_insts: scale.budget_insts(),
-        warmup_insts: scale.warmup_insts(),
-        seed: 42,
-        skip_ahead: true,
-        trace: None,
-        metrics: None,
-        threads: 1,
-        clamp_threads: true,
-        blame: false,
-    };
+        policy_cluster(),
+        scale.budget_insts(),
+        scale.warmup_insts(),
+        42,
+    );
     let cfg = PolicyRunConfig::new(
         base,
         PolicySpec::UtilizationThreshold { hot: 4, cold: 1 },

@@ -13,19 +13,13 @@ use clr_dram::sim::system::RunConfig;
 use clr_dram::sim::Scale;
 
 fn run(policy: PolicySpec, initial_fraction: f64, budget: f64, scale: Scale) {
-    let base = RunConfig {
-        mem: policy_mem_config(initial_fraction),
-        cluster: policy_cluster(),
-        budget_insts: scale.budget_insts(),
-        warmup_insts: scale.warmup_insts(),
-        seed: 42,
-        skip_ahead: true,
-        trace: None,
-        metrics: None,
-        threads: 1,
-        clamp_threads: true,
-        blame: false,
-    };
+    let base = RunConfig::new(
+        policy_mem_config(initial_fraction),
+        policy_cluster(),
+        scale.budget_insts(),
+        scale.warmup_insts(),
+        42,
+    );
     let cfg = PolicyRunConfig::new(
         base,
         policy,

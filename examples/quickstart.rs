@@ -52,9 +52,8 @@ fn main() {
     // Continuous telemetry rides the CLR run: windowed counters and
     // latency quantiles in simulated-cycle time, provably inert
     // (CLR_METRICS tunes the interval; quickstart always samples).
-    // Wait-cause attribution rides along too (CLR_BLAME tunes it;
-    // quickstart always attributes): every read's latency decomposed
-    // into an exact per-cause cycle budget.
+    // Wait-cause attribution rides along too (always on here): every
+    // read's latency decomposed into an exact per-cause cycle budget.
     let mut clr_cfg = RunConfig::paper(mem_config(Some(1.0), 64.0), budget, warmup, 42);
     clr_cfg.metrics.get_or_insert(MetricsConfig::every(5_000));
     clr_cfg.blame = true;

@@ -236,7 +236,7 @@
 //! (`RunResult::metrics`). Boundaries are exact-cycle events the
 //! skip-ahead walk clamps to, so the series are bit-identical across
 //! per-cycle and skip-ahead walks, and — like tracing —
-//! provably inert (`tests/metrics_inertness.rs`). `clr_dram::obs`'s
+//! provably inert (`tests/observer_inertness.rs`). `clr_dram::obs`'s
 //! SLO engine evaluates declarative objectives with error budgets and
 //! burn-rate alerts over any series; every `policy_sweep` cell carries
 //! its verdict, and the `slo_report` binary gates the CI smoke cell

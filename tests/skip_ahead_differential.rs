@@ -146,16 +146,13 @@ fn controller_mode_transitions_and_stalls_are_bit_identical() {
 #[test]
 fn controller_background_migration_is_bit_identical() {
     use clr_dram::memsim::migrate::{MigrationRate, RelocationConfig, RelocationMode};
-    // Pure background and deadline-boosted + rate-limited: the
-    // skip-ahead walk must replay the migration command stream (job
-    // starts in idle slots, couple points, rate-window boundaries,
-    // deadline boosts) bit-identically.
+    // Pure background and rate-limited background: the skip-ahead walk
+    // must replay the migration command stream (job starts in idle
+    // slots, couple points, rate-window boundaries) bit-identically.
     for reloc in [
         RelocationConfig::background(),
         RelocationConfig {
-            mode: RelocationMode::DeadlineBoosted {
-                deadline_cycles: 4_000,
-            },
+            mode: RelocationMode::Background,
             rate: Some(MigrationRate {
                 window_cycles: 1_024,
                 max_starts: 1,
@@ -409,17 +406,8 @@ fn two_channel_policy_run_with_epoch_boundaries_is_bit_identical() {
         let mut mem = policy_mem_config(0.0);
         mem.geometry.channels = 2;
         let base = RunConfig {
-            mem,
-            cluster: policy_cluster(),
-            budget_insts: 15_000,
-            warmup_insts: 1_000,
-            seed: 5,
             skip_ahead: skip,
-            trace: None,
-            metrics: None,
-            threads: 1,
-            clamp_threads: true,
-            blame: false,
+            ..RunConfig::new(mem, policy_cluster(), 15_000, 1_000, 5)
         };
         let cfg = PolicyRunConfig::new(
             base,
@@ -472,17 +460,8 @@ fn placement_modes_policy_runs_are_bit_identical() {
         mem.relocation = RelocationConfig::background();
         mem.placement = placement;
         let base = RunConfig {
-            mem,
-            cluster: policy_cluster(),
-            budget_insts: 15_000,
-            warmup_insts: 1_000,
-            seed: 5,
             skip_ahead: skip,
-            trace: None,
-            metrics: None,
-            threads: 1,
-            clamp_threads: true,
-            blame: false,
+            ..RunConfig::new(mem, policy_cluster(), 15_000, 1_000, 5)
         };
         let cfg = PolicyRunConfig::new(
             base,
@@ -541,17 +520,8 @@ fn policy_run_with_epoch_boundaries_is_bit_identical() {
     use clr_dram::sim::experiment::policies::{policy_cluster, policy_mem_config};
     let run = |skip: bool| {
         let base = RunConfig {
-            mem: policy_mem_config(0.0),
-            cluster: policy_cluster(),
-            budget_insts: 15_000,
-            warmup_insts: 1_000,
-            seed: 5,
             skip_ahead: skip,
-            trace: None,
-            metrics: None,
-            threads: 1,
-            clamp_threads: true,
-            blame: false,
+            ..RunConfig::new(policy_mem_config(0.0), policy_cluster(), 15_000, 1_000, 5)
         };
         // The threshold policy proposes on raw access counts, so the run
         // is guaranteed to move the table (hysteresis may rightly decline
