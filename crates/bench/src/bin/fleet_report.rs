@@ -12,9 +12,9 @@
 //!
 //! Knobs:
 //!
-//! * `CLR_FLEET_N` — instance count (default 256);
-//! * `CLR_THREADS` — pool threads requested (clamped to the host's
-//!   available parallelism, default 1);
+//! * `CLR_FLEET_N` — instance count, a positive integer (default 256);
+//! * `CLR_THREADS` — pool threads requested, a positive integer
+//!   (clamped to the host's available parallelism, default 1);
 //! * `CLR_FLEET_CHECK=1` — re-run the fleet on a 1-lane pool, assert
 //!   the JSON is byte-identical (the CI determinism gate), and print the
 //!   job-level pool scaling (1-lane host time over pool host time;
@@ -25,18 +25,14 @@
 //! comparison.
 
 use clr_fleet::{run_fleet, FleetSpec};
-use clr_sim::system::threads_from_env;
+use clr_sim::system::{fleet_n_from, process_env, threads_from};
 
 const FLEET_SEED: u64 = 0xF1EE7;
 
 fn main() {
     let scale = clr_bench::startup("fleet report (batched heterogeneous instances)");
-    let n = std::env::var("CLR_FLEET_N")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(256);
-    let pool_threads = threads_from_env();
+    let n = fleet_n_from(process_env);
+    let pool_threads = threads_from(process_env);
 
     let spec = FleetSpec::synth(n, FLEET_SEED, scale);
     let t0 = std::time::Instant::now();

@@ -15,6 +15,7 @@
 
 use clr_sim::experiment::policies;
 use clr_sim::scale::Scale;
+use clr_sim::system::{process_env, sweep_from, SweepPart};
 
 /// Prints the contention block: the table plus per-core breakdowns.
 fn print_contention(report: &policies::PolicySweepReport) {
@@ -63,8 +64,8 @@ fn print_placement(report: &policies::PolicySweepReport) {
 
 fn main() {
     let scale = clr_bench::startup("policy sweep (dynamic capacity-latency trade-off, §6)");
-    match std::env::var("CLR_SWEEP").as_deref() {
-        Ok("contention") => {
+    match sweep_from(process_env) {
+        SweepPart::Contention => {
             // Contention-only mode: the CI smoke step driving the sharded
             // 2-channel path on every push without the full roster.
             let report = policies::PolicySweepReport {
@@ -79,7 +80,7 @@ fn main() {
             sanity_check_contention(&report, scale);
             return;
         }
-        Ok("placement") => {
+        SweepPart::Placement => {
             // Placement-only mode: the CI smoke step driving cross-channel
             // frame rebalancing (staged evacuate/fill jobs, remap installs)
             // on every push.
@@ -95,7 +96,7 @@ fn main() {
             sanity_check_placement(&report);
             return;
         }
-        _ => {}
+        SweepPart::All => {}
     }
     let report = policies::run(scale, 42);
     print!("{}", report.render());

@@ -22,7 +22,7 @@ use clr_sim::experiment::policies::{
 };
 use clr_sim::policyrun::{run_policy_workloads, PolicyRunConfig, PolicyRunResult};
 use clr_sim::scale::Scale;
-use clr_sim::system::RunConfig;
+use clr_sim::system::{process_env, skip_ahead_from, RunConfig};
 use memsim::frames::DestinationPicker;
 use memsim::migrate::RelocationConfig;
 
@@ -40,7 +40,7 @@ fn run(scale: Scale, metrics: Option<MetricsConfig>, blame: bool) -> PolicyRunRe
     mem.relocation = RelocationConfig::background_paced();
     mem.placement = DestinationPicker::SameBank;
     let base = RunConfig {
-        skip_ahead: std::env::var("CLR_FORCE_PER_CYCLE").is_err(),
+        skip_ahead: skip_ahead_from(process_env),
         metrics,
         blame,
         ..RunConfig::new(

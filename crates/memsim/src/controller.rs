@@ -360,19 +360,7 @@ impl MemoryController {
         {
             return WaitCause::MigrationBlock;
         }
-        // The entry's next command, exactly as `note_enqueue_event`
-        // derives it for the event bound.
-        let (cmd, target) = match banks[bank].open_row {
-            Some(open) if open == row => (scheduler::column_command(entry), entry.target),
-            Some(_) => (
-                Command::Pre,
-                Target {
-                    mode: banks[bank].open_mode,
-                    ..entry.target
-                },
-            ),
-            None => (Command::Act, entry.target),
-        };
+        let (cmd, target) = scheduler::next_step(entry, &banks[bank]);
         let full = engine.earliest(cmd, target);
         if full <= now {
             // The command is issuable; the request lost FR-FCFS-Cap
@@ -431,19 +419,9 @@ impl MemoryController {
         }
     }
 
+    /// Records an issued command in the command log and the trace
+    /// (`migration` tags background-migration traffic).
     fn log_command(
-        &mut self,
-        cycle: u64,
-        command: Command,
-        flat_bank: usize,
-        row: u32,
-        mode: RowMode,
-    ) {
-        self.log_command_tagged(cycle, command, flat_bank, row, mode, false);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn log_command_tagged(
         &mut self,
         cycle: u64,
         command: Command,
@@ -1087,19 +1065,7 @@ impl MemoryController {
             self.next_event_cache = None;
             return;
         }
-        let (cmd, target) = match self.banks[bank].open_row {
-            Some(row) if row == entry.decoded.row => {
-                (scheduler::column_command(entry), entry.target)
-            }
-            Some(_) => (
-                Command::Pre,
-                Target {
-                    mode: self.banks[bank].open_mode,
-                    ..entry.target
-                },
-            ),
-            None => (Command::Act, entry.target),
-        };
+        let (cmd, target) = scheduler::next_step(entry, &self.banks[bank]);
         let at = self.engine.earliest(cmd, target);
         self.merge_event_bound(at, EventSource::QueueReady);
     }
@@ -1112,16 +1078,9 @@ impl MemoryController {
             .map(request.addr, g)
             .expect("masked address is always in range");
         let flat_bank = decoded.flat_bank(g);
-        let banks_per_group = g.banks_per_group as usize;
-        let bgs_per_rank = g.bank_groups as usize;
-        let bg = flat_bank / banks_per_group;
-        let rank = bg / bgs_per_rank;
         let target = Target {
-            bank: flat_bank,
-            bank_group: bg,
-            rank,
             channel: decoded.channel as usize,
-            mode: self.mode_of_row(flat_bank, decoded.row),
+            ..self.bank_target(flat_bank, self.mode_of_row(flat_bank, decoded.row))
         };
         let mut entry = scheduler::entry(request, decoded, target);
         if self.blame_enabled {
@@ -1565,15 +1524,10 @@ impl MemoryController {
                     self.engine.issue(Command::Act, target, now);
                     self.stats.record_migration_act(nc.mode);
                     self.migration.note_act(b, now);
-                    self.log_command_tagged(now, Command::Act, b, nc.row, nc.mode, true);
-                    self.hit_streak[b] = 0;
-                    self.read_lanes.bank_state_changed(b);
-                    self.write_lanes.bank_state_changed(b);
+                    self.note_row_change(now, Command::Act, b, nc.row, nc.mode, true);
                 }
                 Command::Pre => {
-                    let closed = self.banks[b].precharge();
-                    self.engine.issue(Command::Pre, target, now);
-                    self.stats.record_migration_pre(closed);
+                    let closed = self.issue_pre(b, now, true);
                     let step = self.migration.note_pre(b);
                     match step {
                         MigrationStep::Couple { row, to } => {
@@ -1632,10 +1586,7 @@ impl MemoryController {
                         }
                         MigrationStep::InProgress => {}
                     }
-                    self.log_command_tagged(now, Command::Pre, b, 0, closed, true);
-                    self.hit_streak[b] = 0;
-                    self.read_lanes.bank_state_changed(b);
-                    self.write_lanes.bank_state_changed(b);
+                    self.note_row_change(now, Command::Pre, b, 0, closed, true);
                 }
                 Command::Rd | Command::Wr => {
                     self.banks[b].access(now);
@@ -1646,7 +1597,7 @@ impl MemoryController {
                         self.stats.migration_writes += 1;
                     }
                     self.migration.note_column(b, now);
-                    self.log_command_tagged(now, nc.command, b, nc.row, nc.mode, true);
+                    self.log_command(now, nc.command, b, nc.row, nc.mode, true);
                 }
                 Command::Ref => unreachable!("migration never issues REF"),
             }
@@ -1730,24 +1681,29 @@ impl MemoryController {
     fn refresh_progress_ready_cycle(&self, mode: RowMode) -> u64 {
         for b in 0..self.banks.len() {
             if self.banks[b].open_row.is_some() {
-                let target = self.bank_target(b, self.banks[b].open_mode);
-                return self.engine.earliest(Command::Pre, target);
+                return self.pre_ready(b);
             }
         }
-        let ranks = (self.config.geometry.channels * self.config.geometry.ranks) as usize;
-        (0..ranks)
-            .map(|r| {
-                let t = Target {
-                    bank: r * (self.banks.len() / ranks),
-                    bank_group: r * (self.config.geometry.bank_groups as usize),
-                    rank: r,
-                    channel: 0,
-                    mode,
-                };
-                self.engine.earliest(Command::Ref, t)
-            })
+        self.ref_targets(mode)
+            .map(|t| self.engine.earliest(Command::Ref, t))
             .max()
             .unwrap_or(0)
+    }
+
+    /// The REF target of every rank: refresh is modelled as one REF on
+    /// all ranks in the same cycle.
+    fn ref_targets(&self, mode: RowMode) -> impl Iterator<Item = Target> {
+        let g = &self.config.geometry;
+        let ranks = (g.channels * g.ranks) as usize;
+        let banks_per_rank = self.banks.len() / ranks;
+        let groups_per_rank = g.bank_groups as usize;
+        (0..ranks).map(move |r| Target {
+            bank: r * banks_per_rank,
+            bank_group: r * groups_per_rank,
+            rank: r,
+            channel: 0,
+            mode,
+        })
     }
 
     /// The earliest cycle the queue the drain policy would select can
@@ -1762,7 +1718,7 @@ impl MemoryController {
         } else {
             (&self.read_q, &mut self.read_lanes)
         };
-        scheduler::next_ready_cached(
+        scheduler::next_ready(
             q,
             &self.banks,
             &self.engine,
@@ -1804,8 +1760,7 @@ impl MemoryController {
             {
                 continue;
             }
-            let target = self.bank_target(b, self.banks[b].open_mode);
-            let t = floor.max(self.engine.earliest(Command::Pre, target));
+            let t = floor.max(self.pre_ready(b));
             next = Some(next.map_or(t, |n| n.min(t)));
         }
         next
@@ -1817,48 +1772,32 @@ impl MemoryController {
         // Close any open bank first (one PRE per cycle).
         for b in 0..self.banks.len() {
             if self.banks[b].open_row.is_some() {
-                let target = self.bank_target(b, self.banks[b].open_mode);
-                if self.engine.can_issue(Command::Pre, target, now) {
-                    let closed = self.banks[b].precharge();
-                    self.engine.issue(Command::Pre, target, now);
-                    self.stats.record_pre(closed);
-                    self.log_command(now, Command::Pre, b, 0, closed);
-                    self.hit_streak[b] = 0;
+                if self.pre_ready(b) <= now {
+                    let closed = self.issue_pre(b, now, false);
+                    self.note_row_change(now, Command::Pre, b, 0, closed, false);
                     // Refresh may close a bank out from under an
                     // in-flight migration job; its phase re-activates
                     // after the blackout.
                     self.migration.on_forced_precharge(b);
-                    self.read_lanes.bank_state_changed(b);
-                    self.write_lanes.bank_state_changed(b);
                     return true;
                 }
                 return false; // wait for tRAS/tWR of that bank
             }
         }
         // All banks closed: issue REF (modelled on every rank this cycle).
-        let ranks = (self.config.geometry.channels * self.config.geometry.ranks) as usize;
-        let rank_targets: Vec<Target> = (0..ranks)
-            .map(|r| Target {
-                bank: r * (self.banks.len() / ranks),
-                bank_group: r * (self.config.geometry.bank_groups as usize),
-                rank: r,
-                channel: 0,
-                mode,
-            })
-            .collect();
-        if rank_targets
-            .iter()
-            .all(|t| self.engine.can_issue(Command::Ref, *t, now))
+        if self
+            .ref_targets(mode)
+            .all(|t| self.engine.can_issue(Command::Ref, t, now))
         {
             let rfc = self.engine.timings().for_mode(mode).rfc;
-            for t in rank_targets {
+            for t in self.ref_targets(mode) {
                 self.engine.issue(Command::Ref, t, now);
             }
             self.stats.record_ref(mode);
             self.stats.refresh_busy_cycles += rfc;
             self.refresh.mark_issued(mode);
             self.pending_refresh = None;
-            self.log_command(now, Command::Ref, 0, 0, mode);
+            self.log_command(now, Command::Ref, 0, 0, mode, false);
             return true;
         }
         false
@@ -1884,7 +1823,7 @@ impl MemoryController {
             } else {
                 (&self.read_q, &mut self.read_lanes)
             };
-            let (decision, bound) = scheduler::pick_cached(
+            let (decision, bound) = scheduler::pick(
                 q,
                 &self.banks,
                 &self.engine,
@@ -1930,24 +1869,12 @@ impl MemoryController {
                 self.engine.issue(Command::Act, target, now);
                 self.stats.record_act(mode);
                 self.per_bank_acts[bank] += 1;
-                self.log_command(now, Command::Act, bank, row, mode);
-                self.hit_streak[bank] = 0;
-                self.read_lanes.bank_state_changed(bank);
-                self.write_lanes.bank_state_changed(bank);
+                self.note_row_change(now, Command::Act, bank, row, mode, false);
             }
             Command::Pre => {
                 e.needed_pre = true;
-                let target = Target {
-                    mode: self.banks[bank].open_mode,
-                    ..e.target
-                };
-                let closed = self.banks[bank].precharge();
-                self.engine.issue(Command::Pre, target, now);
-                self.stats.record_pre(closed);
-                self.log_command(now, Command::Pre, bank, 0, closed);
-                self.hit_streak[bank] = 0;
-                self.read_lanes.bank_state_changed(bank);
-                self.write_lanes.bank_state_changed(bank);
+                let closed = self.issue_pre(bank, now, false);
+                self.note_row_change(now, Command::Pre, bank, 0, closed, false);
             }
             Command::Rd | Command::Wr => {
                 if !e.classified {
@@ -1971,7 +1898,7 @@ impl MemoryController {
                         .or_insert(0) += 1;
                 }
                 self.engine.issue(d.command, target, now);
-                self.log_command(now, d.command, bank, entry.decoded.row, target.mode);
+                self.log_command(now, d.command, bank, entry.decoded.row, target.mode, false);
                 self.hit_streak[bank] = self.hit_streak[bank].saturating_add(1);
                 match d.command {
                     Command::Rd => {
@@ -2040,21 +1967,58 @@ impl MemoryController {
             {
                 continue;
             }
-            let target = self.bank_target(b, self.banks[b].open_mode);
-            if self.engine.can_issue(Command::Pre, target, now) {
-                let closed = self.banks[b].precharge();
-                self.engine.issue(Command::Pre, target, now);
-                self.stats.record_pre(closed);
-                self.log_command(now, Command::Pre, b, 0, closed);
-                self.hit_streak[b] = 0;
-                self.read_lanes.bank_state_changed(b);
-                self.write_lanes.bank_state_changed(b);
+            if self.pre_ready(b) <= now {
+                let closed = self.issue_pre(b, now, false);
+                self.note_row_change(now, Command::Pre, b, 0, closed, false);
                 return true;
             }
         }
         false
     }
 
+    /// The earliest cycle bank `b`'s open row can be closed.
+    fn pre_ready(&self, b: usize) -> u64 {
+        self.engine
+            .earliest(Command::Pre, self.bank_target(b, self.banks[b].open_mode))
+    }
+
+    /// Closes bank `b`'s open row at `now` — the one PRE issue sequence:
+    /// bank state, timing engine (timed by the closed row's mode), then
+    /// statistics (`migration` counts it as background-migration
+    /// traffic). Returns the closed row's mode. The caller logs it with
+    /// [`MemoryController::note_row_change`].
+    fn issue_pre(&mut self, b: usize, now: u64, migration: bool) -> RowMode {
+        let target = self.bank_target(b, self.banks[b].open_mode);
+        let closed = self.banks[b].precharge();
+        self.engine.issue(Command::Pre, target, now);
+        if migration {
+            self.stats.record_migration_pre(closed);
+        } else {
+            self.stats.record_pre(closed);
+        }
+        closed
+    }
+
+    /// The tail every row-buffer change (ACT or PRE, demand, refresh,
+    /// timeout close or migration) goes through: logs the command, ends
+    /// the bank's FR-FCFS-Cap hit streak and dirties the bank's
+    /// scheduler lanes, whose hit and miss classes just flipped.
+    fn note_row_change(
+        &mut self,
+        now: u64,
+        command: Command,
+        b: usize,
+        row: u32,
+        mode: RowMode,
+        migration: bool,
+    ) {
+        self.log_command(now, command, b, row, mode, migration);
+        self.hit_streak[b] = 0;
+        self.read_lanes.bank_state_changed(b);
+        self.write_lanes.bank_state_changed(b);
+    }
+
+    /// The engine target of flat bank `flat_bank` for a row in `mode`.
     fn bank_target(&self, flat_bank: usize, mode: RowMode) -> Target {
         let g = &self.config.geometry;
         let banks_per_group = g.banks_per_group as usize;

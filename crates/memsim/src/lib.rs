@@ -74,10 +74,14 @@
 //! fills) is priced into `next_event_cycle()`, so skip-ahead stays
 //! bit-identical under every placement mode.
 //!
-//! The per-cycle path itself is kept cheap by per-bank aggregation in
-//! [`scheduler`] (O(queue) FR-FCFS-Cap with an O(1) older-waiter test), a
-//! per-bank mode-lookup cache keyed on the open row, and allocation reuse
-//! for scheduler scratch and telemetry drains.
+//! The per-cycle path itself is kept cheap by incrementally maintained
+//! per-bank lanes in [`scheduler`] (FR-FCFS-Cap over one head per bank
+//! and command class, with an O(1) older-waiter test; its unit fuzz
+//! tests check every decision and readiness bound against a naive
+//! reference scan), a per-bank mode-lookup cache keyed on the open row,
+//! and allocation reuse for telemetry drains. The controller issues
+//! every ACT and PRE through one path, so each row-buffer change resets
+//! the bank's hit streak and dirties its lanes in one place.
 //!
 //! # Example
 //!

@@ -38,7 +38,7 @@ use clr_trace::workload::Workload;
 
 use crate::policyrun::{run_policy_workloads, PolicyRunConfig};
 use crate::scale::Scale;
-use crate::system::{host_parallelism, RunConfig};
+use crate::system::{host_parallelism, process_env, skip_ahead_from, RunConfig};
 
 /// The capacity budget every dynamic policy runs under.
 pub const DYNAMIC_BUDGET: f64 = 0.25;
@@ -374,10 +374,9 @@ fn run_cell(spec: &CellSpec, scale: Scale, seed: u64) -> PolicyCell {
     mem.relocation = spec.reloc;
     mem.placement = spec.placement;
     let base = RunConfig {
-        // Skip-ahead is bit-identical to per-cycle stepping; the env
-        // escape hatch forces the reference walk for A/B timing and for
-        // bisecting a suspected divergence without a rebuild.
-        skip_ahead: std::env::var("CLR_FORCE_PER_CYCLE").is_err(),
+        // Skip-ahead is bit-identical to per-cycle stepping;
+        // CLR_FORCE_PER_CYCLE forces the reference walk.
+        skip_ahead: skip_ahead_from(process_env),
         // Every cell runs with continuous telemetry on — metrics are
         // inert (proven by the workspace differential test), and the
         // windowed series is what the SLO verdict evaluates. One window

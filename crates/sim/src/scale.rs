@@ -17,14 +17,15 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses the `CLR_SCALE` environment variable (`smoke`, `default`,
-    /// `full`); unknown values fall back to `Default`.
+    /// The scale the `CLR_SCALE` environment variable selects (see
+    /// [`crate::system::scale_from`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `CLR_SCALE` is set to anything but `smoke`, `default`,
+    /// `full` or empty.
     pub fn from_env() -> Self {
-        match std::env::var("CLR_SCALE").as_deref() {
-            Ok("smoke") => Scale::Smoke,
-            Ok("full") => Scale::Full,
-            _ => Scale::Default,
-        }
+        crate::system::scale_from(crate::system::process_env)
     }
 
     /// Instructions each core must retire in the measurement window.
@@ -95,7 +96,7 @@ mod tests {
 
     #[test]
     fn env_parsing_defaults_safely() {
-        // No env var set in tests → Default.
-        assert_eq!(Scale::from_env(), Scale::Default);
+        // An unset CLR_SCALE → Default.
+        assert_eq!(crate::system::scale_from(|_| None), Scale::Default);
     }
 }

@@ -42,6 +42,7 @@ use clr_obs::{
 use clr_power::{energy_of_run, EnergyBreakdown, IddParams};
 use clr_trace::workload::Workload;
 
+use crate::scale::Scale;
 use crate::translate::{tag_for_core, TranslatedTrace};
 
 /// CPU cycles per DRAM-cycle numerator/denominator: 4 GHz vs 1.2 GHz is
@@ -142,8 +143,49 @@ impl RunConfig {
                 warmup_insts,
                 seed,
             ),
-            |name| std::env::var(name).ok(),
+            process_env,
         )
+    }
+}
+
+/// Reads `name` from the process environment (unset or non-Unicode
+/// reads as `None`) — the lookup the environment readers below are
+/// handed outside tests. Each variable has exactly one reader, and a
+/// malformed value panics with the variable, the value and the
+/// accepted forms: a typo must not silently change what a run does.
+pub fn process_env(name: &str) -> Option<String> {
+    std::env::var(name).ok()
+}
+
+/// The forms every on/off variable accepts.
+const SWITCH: &str = "1/on/true/all or 0/off/false/empty";
+
+fn reject(name: &str, value: &str, accepted: &str) -> ! {
+    panic!("{name}={value:?} is not valid; expected {accepted}")
+}
+
+/// `value` as an on/off switch (see [`SWITCH`]), or `None` if it is
+/// not one.
+fn parse_switch(value: &str) -> Option<bool> {
+    match value.trim() {
+        "" | "0" | "off" | "false" => Some(false),
+        "1" | "on" | "true" | "all" => Some(true),
+        _ => None,
+    }
+}
+
+/// `name` as a positive count; unset or empty means `default`.
+fn count_from(var: impl Fn(&str) -> Option<String>, name: &str, default: usize) -> usize {
+    let Some(v) = var(name) else {
+        return default;
+    };
+    match v.trim() {
+        "" => default,
+        s => s
+            .parse::<usize>()
+            .ok()
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| reject(name, &v, "a positive integer")),
     }
 }
 
@@ -153,14 +195,9 @@ impl RunConfig {
 /// it; every variable takes `1`/`on`/`true`/`all` and
 /// `0`/`off`/`false`/empty, `CLR_TRACE` also a comma-separated category
 /// list (`commands,migration`) and `CLR_METRICS` a sampling interval in
-/// DRAM cycles (`5000`). Anything else panics with the variable, the
-/// value and the accepted forms: a typo must not silently turn an
-/// observer off.
+/// DRAM cycles (`5000`). Anything else panics: a typo must not silently
+/// turn an observer off.
 fn with_env_observers(mut cfg: RunConfig, var: impl Fn(&str) -> Option<String>) -> RunConfig {
-    const SWITCH: &str = "1/on/true/all or 0/off/false/empty";
-    fn reject(name: &str, value: &str, accepted: &str) -> ! {
-        panic!("{name}={value:?} is not valid; expected {accepted}")
-    }
     if let Some(v) = var("CLR_TRACE") {
         let categories = CategorySet::parse(&v).unwrap_or_else(|_| {
             let labels: Vec<&str> = TraceCategory::ALL.iter().map(|c| c.label()).collect();
@@ -179,10 +216,9 @@ fn with_env_observers(mut cfg: RunConfig, var: impl Fn(&str) -> Option<String>) 
         });
     }
     if let Some(v) = var("CLR_METRICS") {
-        cfg.metrics = match v.trim() {
-            "" | "0" | "off" | "false" => None,
-            "1" | "on" | "true" | "all" => Some(MetricsConfig::default()),
-            s => match s.parse::<u64>() {
+        cfg.metrics = match parse_switch(&v) {
+            Some(on) => on.then(MetricsConfig::default),
+            None => match v.trim().parse::<u64>() {
                 Ok(interval) if interval > 0 => Some(MetricsConfig::every(interval)),
                 _ => reject(
                     "CLR_METRICS",
@@ -193,24 +229,72 @@ fn with_env_observers(mut cfg: RunConfig, var: impl Fn(&str) -> Option<String>) 
         };
     }
     if let Some(v) = var("CLR_BLAME") {
-        cfg.blame = match v.trim() {
-            "" | "0" | "off" | "false" => false,
-            "1" | "on" | "true" | "all" => true,
-            _ => reject("CLR_BLAME", &v, SWITCH),
-        };
+        cfg.blame = parse_switch(&v).unwrap_or_else(|| reject("CLR_BLAME", &v, SWITCH));
     }
     cfg
 }
 
-/// Job-pool width from the `CLR_THREADS` environment variable (default
-/// 1; invalid or zero values fall back to 1) — how many lanes
-/// `fleet_report` runs its instances on.
-pub fn threads_from_env() -> usize {
-    std::env::var("CLR_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
+/// The experiment scale `CLR_SCALE` selects: `smoke`, `default` or
+/// `full`; unset or empty means `default`.
+pub(crate) fn scale_from(var: impl Fn(&str) -> Option<String>) -> Scale {
+    let Some(v) = var("CLR_SCALE") else {
+        return Scale::Default;
+    };
+    match v.trim() {
+        "" | "default" => Scale::Default,
+        "smoke" => Scale::Smoke,
+        "full" => Scale::Full,
+        _ => reject("CLR_SCALE", &v, "smoke, default, full or empty"),
+    }
+}
+
+/// Whether a run may skip ahead: `CLR_FORCE_PER_CYCLE` switched on
+/// (`1`/`on`/`true`/`all`) forces the per-cycle reference walk, for A/B
+/// timing and for bisecting a suspected divergence without a rebuild;
+/// unset or switched off (`0`/`off`/`false`/empty) keeps skip-ahead.
+pub fn skip_ahead_from(var: impl Fn(&str) -> Option<String>) -> bool {
+    let Some(v) = var("CLR_FORCE_PER_CYCLE") else {
+        return true;
+    };
+    !parse_switch(&v).unwrap_or_else(|| reject("CLR_FORCE_PER_CYCLE", &v, SWITCH))
+}
+
+/// Job-pool width `CLR_THREADS` selects — how many lanes
+/// `fleet_report` runs its instances on: a positive integer, unset or
+/// empty means 1.
+pub fn threads_from(var: impl Fn(&str) -> Option<String>) -> usize {
+    count_from(var, "CLR_THREADS", 1)
+}
+
+/// Fleet size `CLR_FLEET_N` selects for `fleet_report`: a positive
+/// integer, unset or empty means 256.
+pub fn fleet_n_from(var: impl Fn(&str) -> Option<String>) -> usize {
+    count_from(var, "CLR_FLEET_N", 256)
+}
+
+/// Which part of `policy_sweep` runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SweepPart {
+    /// The whole sweep: policy cells, contention and placement.
+    All,
+    /// Only the contention sweep.
+    Contention,
+    /// Only the placement sweep.
+    Placement,
+}
+
+/// The part of `policy_sweep` `CLR_SWEEP` selects: `contention` or
+/// `placement`; unset or empty runs the whole sweep.
+pub fn sweep_from(var: impl Fn(&str) -> Option<String>) -> SweepPart {
+    let Some(v) = var("CLR_SWEEP") else {
+        return SweepPart::All;
+    };
+    match v.trim() {
+        "" => SweepPart::All,
+        "contention" => SweepPart::Contention,
+        "placement" => SweepPart::Placement,
+        _ => reject("CLR_SWEEP", &v, "contention, placement or empty"),
+    }
 }
 
 /// The host's available hardware parallelism (1 if unknown) — the
@@ -698,19 +782,39 @@ mod tests {
         RunConfig::new(mem, ClusterConfig::paper(), 8_000, 1_000, 7)
     }
 
+    /// An environment holding only `CLR_<var>` set to `value`.
+    fn only(var: &'static str, value: &'static str) -> impl Fn(&str) -> Option<String> {
+        move |name: &str| (name.strip_prefix("CLR_") == Some(var)).then(|| value.into())
+    }
+
     /// Resolves observers over an environment holding only `CLR_<var>`
     /// set to `value`.
     fn resolve(var: &'static str, value: &'static str) -> RunConfig {
-        let env = move |name: &str| (name.strip_prefix("CLR_") == Some(var)).then(|| value.into());
-        with_env_observers(quick_cfg(MemConfig::paper_baseline()), env)
+        with_env_observers(quick_cfg(MemConfig::paper_baseline()), only(var, value))
     }
 
-    /// The panic message resolving a malformed `CLR_<var>` raises.
-    fn rejection(var: &'static str, value: &'static str) -> String {
-        let err = std::panic::catch_unwind(|| resolve(var, value)).expect_err("must reject");
+    /// The panic message `read` raises over an environment holding only
+    /// a malformed `CLR_<var>=value`.
+    fn rejection_by<T>(
+        var: &'static str,
+        value: &'static str,
+        read: impl FnOnce(Box<dyn Fn(&str) -> Option<String>>) -> T,
+    ) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            read(Box::new(only(var, value)));
+        }))
+        .expect_err("must reject");
         let msg = err.downcast::<String>().expect("formatted panic message");
         assert!(msg.contains(&format!("CLR_{var}={value:?}")), "{msg}");
         *msg
+    }
+
+    /// The panic message resolving a malformed observer `CLR_<var>`
+    /// raises.
+    fn rejection(var: &'static str, value: &'static str) -> String {
+        rejection_by(var, value, |env| {
+            with_env_observers(quick_cfg(MemConfig::paper_baseline()), env)
+        })
     }
 
     #[test]
@@ -760,6 +864,60 @@ mod tests {
             assert!(!resolve("BLAME", off).blame, "{off:?}");
         }
         assert!(rejection("BLAME", "yes").contains("0/off/false"));
+    }
+
+    #[test]
+    fn scale_env_accepts_the_three_scales() {
+        assert_eq!(scale_from(|_| None), Scale::Default);
+        for (v, want) in [
+            ("smoke", Scale::Smoke),
+            ("default", Scale::Default),
+            ("", Scale::Default),
+            ("full", Scale::Full),
+        ] {
+            assert_eq!(scale_from(only("SCALE", v)), want, "{v:?}");
+        }
+        assert!(rejection_by("SCALE", "smok", scale_from).contains("smoke, default, full"));
+    }
+
+    #[test]
+    fn force_per_cycle_env_accepts_switches_only() {
+        assert!(skip_ahead_from(|_| None));
+        for on in ["1", "on", "true", "all"] {
+            assert!(!skip_ahead_from(only("FORCE_PER_CYCLE", on)), "{on:?}");
+        }
+        for off in ["0", "off", "false", ""] {
+            assert!(skip_ahead_from(only("FORCE_PER_CYCLE", off)), "{off:?}");
+        }
+        assert!(rejection_by("FORCE_PER_CYCLE", "yes", skip_ahead_from).contains("0/off/false"));
+    }
+
+    #[test]
+    fn threads_env_accepts_positive_counts() {
+        assert_eq!(threads_from(|_| None), 1);
+        assert_eq!(threads_from(only("THREADS", "")), 1);
+        assert_eq!(threads_from(only("THREADS", "2")), 2);
+        assert!(rejection_by("THREADS", "two", threads_from).contains("positive integer"));
+        rejection_by("THREADS", "0", threads_from);
+    }
+
+    #[test]
+    fn fleet_n_env_accepts_positive_counts() {
+        assert_eq!(fleet_n_from(|_| None), 256);
+        assert_eq!(fleet_n_from(only("FLEET_N", "64")), 64);
+        assert!(rejection_by("FLEET_N", "1k", fleet_n_from).contains("positive integer"));
+    }
+
+    #[test]
+    fn sweep_env_accepts_the_two_parts() {
+        assert_eq!(sweep_from(|_| None), SweepPart::All);
+        assert_eq!(sweep_from(only("SWEEP", "")), SweepPart::All);
+        assert_eq!(
+            sweep_from(only("SWEEP", "contention")),
+            SweepPart::Contention
+        );
+        assert_eq!(sweep_from(only("SWEEP", "placement")), SweepPart::Placement);
+        assert!(rejection_by("SWEEP", "contentoin", sweep_from).contains("placement"));
     }
 
     #[test]
