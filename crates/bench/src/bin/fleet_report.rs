@@ -15,17 +15,18 @@
 //! * `CLR_FLEET_N` — instance count, a positive integer (default 256);
 //! * `CLR_THREADS` — pool threads requested, a positive integer
 //!   (clamped to the host's available parallelism, default 1);
-//! * `CLR_FLEET_CHECK=1` — re-run the fleet on a 1-lane pool, assert
-//!   the JSON is byte-identical (the CI determinism gate), and print the
-//!   job-level pool scaling (1-lane host time over pool host time;
-//!   recorded, not gated).
+//! * `CLR_FLEET_CHECK` — an on/off switch (`1`/`on`/`true`/`all` or
+//!   `0`/`off`/`false`/empty, default off): re-run the fleet on a 1-lane
+//!   pool, assert the JSON is byte-identical (the CI determinism gate),
+//!   and print the job-level pool scaling (1-lane host time over pool
+//!   host time; recorded, not gated).
 //!
 //! Host wall-clock goes to stdout only — the JSON is a pure function
 //! of `(roster, seed, scale)`, so the determinism check is a string
 //! comparison.
 
 use clr_fleet::{run_fleet, FleetSpec};
-use clr_sim::system::{fleet_n_from, process_env, threads_from};
+use clr_sim::system::{fleet_check_from, fleet_n_from, process_env, threads_from};
 
 const FLEET_SEED: u64 = 0xF1EE7;
 
@@ -88,7 +89,7 @@ fn main() {
         if report.slo.pass() { "PASS" } else { "FAIL" }
     );
 
-    if std::env::var("CLR_FLEET_CHECK").is_ok() {
+    if fleet_check_from(process_env) {
         let t1 = std::time::Instant::now();
         let serial = run_fleet(&spec, 1).to_json();
         let serial_s = t1.elapsed().as_secs_f64();

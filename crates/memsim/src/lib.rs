@@ -38,9 +38,8 @@
 //! an accelerated run is **bit-identical** to the per-cycle reference:
 //! same command log, same completion cycles, same statistics. The
 //! workspace test `tests/skip_ahead_differential.rs` enforces exactly
-//! that invariant (controller-level, full-system, and policy-epoch runs),
-//! and the `sim_throughput` bench in `clr-bench` tracks the wall-clock
-//! payoff.
+//! that invariant (controller-level, full-system, and policy-epoch runs);
+//! the workspace's `perfbench/` package measures the wall-clock payoff.
 //!
 //! # Channel sharding
 //!

@@ -116,98 +116,6 @@ impl MemStats {
         Self::default()
     }
 
-    /// Zeroes every counter in place, keeping the latency histograms'
-    /// bucket allocations — the reset a reused fused-statistics scratch
-    /// applies instead of dropping and reallocating. The exhaustive
-    /// destructuring (no `..`) is a compile-time drift guard: adding a
-    /// field forces this function to handle it.
-    pub fn reset(&mut self) {
-        let MemStats {
-            cycles,
-            acts_max_capacity,
-            acts_high_performance,
-            pres_max_capacity,
-            pres_high_performance,
-            reads,
-            writes,
-            refs_max_capacity,
-            refs_high_performance,
-            row_hits,
-            row_misses,
-            row_conflicts,
-            read_latency_sum,
-            reads_completed,
-            forwarded_reads,
-            rank_active_cycles,
-            rank_precharged_cycles,
-            refresh_busy_cycles,
-            queue_rejections,
-            mode_transitions,
-            relocation_stall_cycles,
-            migration_acts_max_capacity,
-            migration_acts_high_performance,
-            migration_pres_max_capacity,
-            migration_pres_high_performance,
-            migration_reads,
-            migration_writes,
-            migration_slot_cycles,
-            migration_jobs_completed,
-            migration_cross_bank_jobs,
-            migration_evacuations,
-            migration_fills,
-            frames_freed,
-            frames_reused,
-            read_latency_hist,
-            write_latency_hist,
-            migration_latency_hist,
-            read_blame,
-            write_blame,
-        } = self;
-        for c in [
-            cycles,
-            acts_max_capacity,
-            acts_high_performance,
-            pres_max_capacity,
-            pres_high_performance,
-            reads,
-            writes,
-            refs_max_capacity,
-            refs_high_performance,
-            row_hits,
-            row_misses,
-            row_conflicts,
-            read_latency_sum,
-            reads_completed,
-            forwarded_reads,
-            rank_active_cycles,
-            rank_precharged_cycles,
-            refresh_busy_cycles,
-            queue_rejections,
-            mode_transitions,
-            relocation_stall_cycles,
-            migration_acts_max_capacity,
-            migration_acts_high_performance,
-            migration_pres_max_capacity,
-            migration_pres_high_performance,
-            migration_reads,
-            migration_writes,
-            migration_slot_cycles,
-            migration_jobs_completed,
-            migration_cross_bank_jobs,
-            migration_evacuations,
-            migration_fills,
-            frames_freed,
-            frames_reused,
-        ] {
-            *c = 0;
-        }
-        read_latency_hist.clear();
-        write_latency_hist.clear();
-        migration_latency_hist.clear();
-        read_blame.clear();
-        write_blame.clear();
-    }
-
     /// Total ACT commands.
     pub fn acts(&self) -> u64 {
         self.acts_max_capacity + self.acts_high_performance

@@ -579,8 +579,9 @@ impl MemorySystem {
 
     /// Host time spent inside [`MemorySystem::tick_until`] as
     /// `(walk_seconds, merge_seconds)`: per-channel walking vs the
-    /// deterministic completion merge — the per-phase breakdown
-    /// `sim_throughput` reports.
+    /// deterministic completion merge. `RunResult::host_walk_s` and
+    /// `host_merge_s` carry them, and perfbench's ledger reports them as
+    /// `memsim.walk_s` and `memsim.merge_s`.
     pub fn host_phase_seconds(&self) -> (f64, f64) {
         (self.walk_ns as f64 / 1e9, self.merge_ns as f64 / 1e9)
     }
@@ -650,21 +651,9 @@ impl MemorySystem {
     }
 
     /// Counter-wise sum of every channel's statistics (see
-    /// [`MemStats::merge`] for the rate semantics). Allocates a fresh
-    /// block (three histogram buffers); hot loops reporting per epoch
-    /// should reuse an accumulator via [`MemorySystem::fused_stats_into`].
+    /// [`MemStats::merge`] for the rate semantics).
     pub fn fused_stats(&self) -> MemStats {
         MemStats::fused(self.channels.iter().map(|c| c.stats()))
-    }
-
-    /// [`MemorySystem::fused_stats`] into a caller-owned accumulator:
-    /// `out` is reset in place (histogram buffers kept) and refilled, so
-    /// per-epoch reporting allocates nothing after the first call.
-    pub fn fused_stats_into(&self, out: &mut MemStats) {
-        out.reset();
-        for ch in &self.channels {
-            out.merge(ch.stats());
-        }
     }
 
     /// One channel's statistics.
@@ -775,18 +764,10 @@ impl MemorySystem {
     /// legitimately differ between per-cycle and skip-ahead walks.
     pub fn fused_skip_profile(&self) -> SkipProfile {
         let mut fused = SkipProfile::default();
-        self.fused_skip_profile_into(&mut fused);
-        fused
-    }
-
-    /// [`MemorySystem::fused_skip_profile`] into a caller-owned
-    /// accumulator (reset in place, jump-histogram buffer kept) — the
-    /// allocation-free form for per-epoch reporting.
-    pub fn fused_skip_profile_into(&self, out: &mut SkipProfile) {
-        out.clear();
         for ch in &self.channels {
-            out.merge(ch.skip_profile());
+            fused.merge(ch.skip_profile());
         }
+        fused
     }
 
     /// One channel's recorded command log, if enabled.
@@ -933,25 +914,6 @@ mod tests {
         assert_eq!(per_cycle.1, skip.1, "completions diverge");
         assert_eq!(per_cycle.2, skip.2, "statistics diverge");
         assert_eq!(per_cycle.3, skip.3);
-    }
-
-    #[test]
-    fn fused_accumulator_apis_match_the_allocating_forms() {
-        let mut sys = MemorySystem::new(two_channel_cfg());
-        for req in line_requests(24, 64) {
-            sys.try_enqueue(req).unwrap();
-        }
-        let mut done = Vec::new();
-        sys.tick_until(15_000, &mut done);
-        let mut stats = MemStats::new();
-        let mut profile = SkipProfile::default();
-        // Pre-dirty the accumulators: `_into` must reset, not merge.
-        stats.reads = 999;
-        profile.record_jump(5, clr_obs::EventSource::Refresh);
-        sys.fused_stats_into(&mut stats);
-        sys.fused_skip_profile_into(&mut profile);
-        assert_eq!(stats, sys.fused_stats());
-        assert_eq!(profile, sys.fused_skip_profile());
     }
 
     #[test]

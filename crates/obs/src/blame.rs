@@ -191,6 +191,11 @@ impl BlameSet {
         &self.hists[cause.index()]
     }
 
+    /// Cycles attributed to each cause, indexed by [`WaitCause::index`].
+    pub fn cycles(&self) -> [u64; WaitCause::COUNT] {
+        std::array::from_fn(|i| self.hists[i].sum())
+    }
+
     /// Total cycles attributed across every cause — for a demand
     /// request class this equals the class's latency-histogram sum
     /// exactly (the exactness contract).
@@ -211,15 +216,7 @@ impl BlameSet {
     /// Per-cause share of the attributed cycles in permille (integer,
     /// so reports stay byte-deterministic). All zeros when empty.
     pub fn fractions_permille(&self) -> [u64; WaitCause::COUNT] {
-        let total = self.total_cycles();
-        let mut out = [0; WaitCause::COUNT];
-        if total == 0 {
-            return out;
-        }
-        for (o, h) in out.iter_mut().zip(self.hists.iter()) {
-            *o = h.sum() * 1000 / total;
-        }
-        out
+        permille(&self.cycles())
     }
 
     /// Causes ordered by attributed cycles, heaviest first, zero-cycle
@@ -267,6 +264,33 @@ impl BlameSet {
         }
         out
     }
+}
+
+/// Each cause's integer permille share of the budget's total; all
+/// zeros when nothing was attributed.
+fn permille(cycles: &[u64; WaitCause::COUNT]) -> [u64; WaitCause::COUNT] {
+    let total: u64 = cycles.iter().sum();
+    cycles.map(|c| c * 1000 / total.max(1))
+}
+
+/// Renders a per-cause cycle budget (indexed by [`WaitCause::index`],
+/// as [`BlameSet::cycles`] returns it) as the two JSON maps every wait
+/// anatomy report prints: `(cycles, permille)`, each
+/// `{"backpressure": n, …, "service": n}` keyed by [`WaitCause::label`]
+/// in [`WaitCause::ALL`] order. The sweep cells, the SLO report and the
+/// fleet report all render through here, so their blame objects cannot
+/// drift apart.
+pub fn cause_maps_json(cycles: &[u64; WaitCause::COUNT]) -> (String, String) {
+    let map = |values: [u64; WaitCause::COUNT]| {
+        let members = WaitCause::ALL
+            .iter()
+            .zip(values)
+            .map(|(c, v)| format!("\"{}\": {v}", c.label()))
+            .collect::<Vec<_>>()
+            .join(", ");
+        format!("{{{members}}}")
+    };
+    (map(*cycles), map(permille(cycles)))
 }
 
 #[cfg(test)]

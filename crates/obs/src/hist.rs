@@ -99,8 +99,7 @@ impl LatencyHistogram {
     }
 
     /// Empties the histogram in place, keeping the bucket allocation so
-    /// a reused accumulator (e.g. a fused per-channel scratch) records
-    /// again without reallocating.
+    /// a reused accumulator records again without reallocating.
     pub fn clear(&mut self) {
         self.counts.iter_mut().for_each(|c| *c = 0);
         self.count = 0;

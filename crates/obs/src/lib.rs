@@ -63,7 +63,7 @@ pub mod series;
 pub mod slo;
 pub mod trace;
 
-pub use blame::{BlameLedger, BlameSet, WaitCause};
+pub use blame::{cause_maps_json, BlameLedger, BlameSet, WaitCause};
 pub use hist::LatencyHistogram;
 pub use profile::{EventSource, SkipProfile};
 pub use series::{

@@ -87,7 +87,7 @@ pub struct SeriesCounters {
 
 impl SeriesCounters {
     /// Field-wise sum `self + other`. The exhaustive destructuring (no
-    /// `..`) is a compile-time drift guard, as in `MemStats::reset`.
+    /// `..`) is a compile-time drift guard, as in `MemStats::delta_since`.
     pub fn merge(&mut self, other: &SeriesCounters) {
         let SeriesCounters {
             acts,

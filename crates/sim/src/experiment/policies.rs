@@ -156,7 +156,7 @@ pub struct PolicyCell {
     pub read_latency_cycles: u64,
     /// Per-cause read wait budgets in cycles, one entry per
     /// [`clr_obs::WaitCause`] in `WaitCause::ALL` order.
-    pub read_blame_cycles: Vec<u64>,
+    pub read_blame_cycles: [u64; clr_obs::WaitCause::COUNT],
 }
 
 /// The full sweep.
@@ -450,10 +450,7 @@ fn run_cell(spec: &CellSpec, scale: Scale, seed: u64) -> PolicyCell {
         slo_violations: slo.objectives.iter().map(|o| o.violations).sum(),
         slo_worst_read_p99,
         read_latency_cycles: r.run.mem.read_latency_hist.sum(),
-        read_blame_cycles: clr_obs::WaitCause::ALL
-            .iter()
-            .map(|&c| r.run.mem.read_blame.of(c).sum())
-            .collect(),
+        read_blame_cycles: r.run.mem.read_blame.cycles(),
     }
 }
 
@@ -1032,17 +1029,7 @@ impl PolicySweepReport {
             .map(|v| format!("{v:.6}"))
             .collect::<Vec<_>>()
             .join(", ");
-        let blame_entry = |scale: u64| {
-            clr_obs::WaitCause::ALL
-                .iter()
-                .zip(&c.read_blame_cycles)
-                .map(|(cause, &n)| format!("\"{}\": {}", cause.label(), n * 1000 / scale.max(1)))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        // Exact cycles (scale 1000/1000) and permille-of-total-wait.
-        let blame_cycles = blame_entry(1000);
-        let blame_permille = blame_entry(c.read_latency_cycles);
+        let (blame_cycles, blame_permille) = clr_obs::cause_maps_json(&c.read_blame_cycles);
         format!(
             "{{\"policy\": \"{}\", \"workload\": \"{}\", \"reloc\": \"{}\", \
              \"cores\": {}, \"channels\": {}, \"budget_split\": \"{}\", \
@@ -1057,8 +1044,8 @@ impl PolicySweepReport {
              \"read_latency_p99\": {}, \"slo_pass\": {}, \
              \"slo_windows\": {}, \"slo_violations\": {}, \
              \"slo_worst_read_p99\": {}, \
-             \"read_latency_cycles\": {}, \"blame_cycles\": {{{}}}, \
-             \"blame_permille\": {{{}}}}}",
+             \"read_latency_cycles\": {}, \"blame_cycles\": {}, \
+             \"blame_permille\": {}}}",
             esc(&c.policy),
             esc(&c.workload),
             esc(&c.reloc),
@@ -1201,7 +1188,7 @@ mod tests {
             slo_violations: 0,
             slo_worst_read_p99: 310,
             read_latency_cycles: 4_000,
-            read_blame_cycles: vec![0, 400, 0, 0, 0, 2_600, 0, 0, 0, 1_000],
+            read_blame_cycles: [0, 400, 0, 0, 0, 2_600, 0, 0, 0, 1_000],
         }
     }
 

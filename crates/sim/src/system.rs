@@ -272,6 +272,15 @@ pub fn fleet_n_from(var: impl Fn(&str) -> Option<String>) -> usize {
     count_from(var, "CLR_FLEET_N", 256)
 }
 
+/// Whether `fleet_report` re-runs the fleet on a 1-lane pool and
+/// asserts byte-identical JSON: `CLR_FLEET_CHECK` switched on
+/// (`1`/`on`/`true`/`all`); unset or switched off
+/// (`0`/`off`/`false`/empty) skips the check.
+pub fn fleet_check_from(var: impl Fn(&str) -> Option<String>) -> bool {
+    var("CLR_FLEET_CHECK")
+        .is_some_and(|v| parse_switch(&v).unwrap_or_else(|| reject("CLR_FLEET_CHECK", &v, SWITCH)))
+}
+
 /// Which part of `policy_sweep` runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepPart {
@@ -906,6 +915,18 @@ mod tests {
         assert_eq!(fleet_n_from(|_| None), 256);
         assert_eq!(fleet_n_from(only("FLEET_N", "64")), 64);
         assert!(rejection_by("FLEET_N", "1k", fleet_n_from).contains("positive integer"));
+    }
+
+    #[test]
+    fn fleet_check_env_accepts_switches_only() {
+        assert!(!fleet_check_from(|_| None));
+        for on in ["1", "on", "true", "all"] {
+            assert!(fleet_check_from(only("FLEET_CHECK", on)), "{on:?}");
+        }
+        for off in ["0", "off", "false", ""] {
+            assert!(!fleet_check_from(only("FLEET_CHECK", off)), "{off:?}");
+        }
+        assert!(rejection_by("FLEET_CHECK", "yes", fleet_check_from).contains("0/off/false"));
     }
 
     #[test]

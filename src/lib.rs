@@ -224,8 +224,8 @@
 //! accelerated walk is bit-identical to per-cycle stepping — enforced by
 //! `tests/skip_ahead_differential.rs` — and can be disabled per run via
 //! `RunConfig::skip_ahead` (or `CLR_FORCE_PER_CYCLE=1` for the policy
-//! sweep). The `sim_throughput` binary reports simulated cycles/second
-//! for both walks (`clr-dram/sim-throughput/v2`).
+//! sweep). CI runs the smoke policy sweep under both walks and compares
+//! the JSON byte for byte; simulator timing lives in `perfbench/`.
 //!
 //! # Continuous telemetry and SLOs
 //!

@@ -19,9 +19,12 @@ use clr_dram::memsim::request::{Completion, MemRequest, RequestKind};
 use clr_dram::memsim::system::MemorySystem;
 use clr_dram::memsim::MemStats;
 use clr_dram::policy::policy::{PolicyConstraints, PolicySpec};
+use clr_dram::sim::experiment::mem_config;
 use clr_dram::sim::policyrun::{run_policy_workloads, PolicyRunConfig};
 use clr_dram::sim::system::{run_workloads, RunConfig};
+use clr_dram::sim::Scale;
 use clr_dram::trace::phase::PhaseShiftSpec;
+use clr_dram::trace::synthetic::{SyntheticKind, SyntheticSpec};
 use clr_dram::trace::workload::Workload;
 
 /// A deterministic request schedule: bursty, mixed reads/writes across
@@ -355,22 +358,52 @@ fn two_channel_drive_is_bit_identical_across_configs() {
     }
 }
 
+/// Two full-system workloads: a small phase-shifting hot set that keeps
+/// the DRAM busy, and a low-intensity random synthetic (159 bubbles
+/// between accesses over 64 MiB) whose isolated misses leave long dead
+/// windows on both clock domains — the windows the co-jump exists for.
 #[test]
 fn full_system_run_is_bit_identical() {
-    let w = Workload::PhaseShift(PhaseShiftSpec {
+    let phase = Workload::PhaseShift(PhaseShiftSpec {
         footprint_mib: 2,
         accesses_per_phase: 1_500,
         ..PhaseShiftSpec::paper_default()
     });
-    let mut cfg = RunConfig::paper(MemConfig::paper_clr(0.25), 12_000, 1_500, 77);
-    cfg.skip_ahead = false;
-    let per_cycle = run_workloads(&[w], &cfg);
-    cfg.skip_ahead = true;
-    let skipped = run_workloads(&[w], &cfg);
-    assert_eq!(per_cycle.ipc, skipped.ipc);
-    assert_eq!(per_cycle.cpu_cycles, skipped.cpu_cycles);
-    assert_eq!(per_cycle.dram_cycles, skipped.dram_cycles);
-    assert_eq!(per_cycle.mem, skipped.mem);
+    let light = Workload::Synthetic(SyntheticSpec {
+        kind: SyntheticKind::Random,
+        index: 12,
+        bubbles: 159,
+        footprint_mib: 64,
+    });
+    let smoke = Scale::Smoke;
+    for (w, mut cfg) in [
+        (
+            phase,
+            RunConfig::paper(MemConfig::paper_clr(0.25), 12_000, 1_500, 77),
+        ),
+        (
+            light,
+            RunConfig::paper(
+                mem_config(Some(0.5), 64.0),
+                smoke.budget_insts(),
+                smoke.warmup_insts(),
+                42,
+            ),
+        ),
+    ] {
+        cfg.skip_ahead = false;
+        let per_cycle = run_workloads(&[w], &cfg);
+        cfg.skip_ahead = true;
+        let skipped = run_workloads(&[w], &cfg);
+        let name = w.name();
+        assert_eq!(per_cycle.ipc, skipped.ipc, "{name}");
+        assert_eq!(per_cycle.cpu_cycles, skipped.cpu_cycles, "{name}");
+        assert_eq!(per_cycle.dram_cycles, skipped.dram_cycles, "{name}");
+        assert_eq!(per_cycle.mem, skipped.mem, "{name}");
+        // The skip-ahead run must actually have jumped, or the walks
+        // were never compared on a dead window.
+        assert!(skipped.skip_profile.skipped_cycles > 0, "{name}");
+    }
 }
 
 #[test]
