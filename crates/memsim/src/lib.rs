@@ -56,11 +56,13 @@
 //!
 //! # Capacity directory
 //!
-//! Where migrated data *lands* is a placement decision ([`frames`]):
-//! the legacy same-bank picker serializes a coupling's read-out and
-//! write-back on one row buffer; [`frames::DestinationPicker::CrossBank`]
-//! places the destination frame in another bank so one job's two sides
-//! issue into two banks concurrently; and
+//! Where migrated data *lands* is a placement decision ([`frames`]).
+//! Every [`migrate::MigrationJob`] has a read-out side on its own bank
+//! and a write-back side on the destination frame's bank. The same-bank
+//! picker puts both sides on one bank, where they serialize on its one
+//! row buffer; [`frames::DestinationPicker::CrossBank`] places the
+//! destination frame in another bank so the two sides issue into two
+//! banks concurrently; and
 //! [`frames::DestinationPicker::CrossChannel`] adds a system-level
 //! rebalancer ([`frames::CapacityRebalancer`]) that moves whole frames
 //! between channels at epoch boundaries via staged evacuate-out /

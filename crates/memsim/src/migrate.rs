@@ -23,19 +23,21 @@
 //! cell already holds the stored bit — and is applied immediately, as in
 //! the stall model.
 //!
-//! # Placement: one bank or two
+//! # Placement: one job, two sides
 //!
-//! Where the destination frame lives is the
+//! Every job has a read-out side on its owning bank and a write-back
+//! side on the destination frame's bank; where that frame lives is the
 //! [`DestinationPicker`](crate::frames::DestinationPicker)'s call. With
-//! the legacy **same-bank** placement the two phases serialize on one
-//! row buffer and the write-back ACT additionally waits for a
-//! write-drain episode. With a **cross-bank** destination the job spans
-//! *two* banks: the destination's ACT issues while the read-out is still
-//! streaming (its ACT/tRCD window hides under the read bursts), write
-//! bursts are released as soon as the data they carry has been read
+//! **same-bank** placement both sides share one row buffer, so they
+//! serialize: the write-back ACT opens only after the read-out PRE, and
+//! it additionally waits for a write-drain episode. With a **cross-bank**
+//! destination the sides run on two row buffers at once: the
+//! destination's ACT issues while the read-out is still streaming (its
+//! ACT/tRCD window hides under the read bursts), write bursts are
+//! released as soon as the data they carry has been read
 //! (`wr_remaining > rd_remaining`), and the couple point still gates the
-//! completion so the mode flip always precedes it. Row blocking is
-//! two-bank: the source row blocks until the couple point (reads stay
+//! completion so the mode flip always precedes it. Row blocking follows
+//! the sides: the source row blocks until the couple point (reads stay
 //! servable during read-out — the data sits intact in the row buffer),
 //! the destination row blocks until the job completes, and each bank
 //! blocks demand entirely only while the job holds *that bank's* row
@@ -51,8 +53,8 @@
 //! is reported as [`PlacementEvent`]s so the system can install
 //! [`RemapTable`](crate::system::RemapTable) entries.
 //!
-//! Jobs queue per owning bank and at most one migration role (job source
-//! *or* destination) is in flight per bank. Under
+//! Jobs queue per owning bank and at most one in-flight job has a side
+//! on any bank (a same-bank job has both there). Under
 //! [`RelocationMode::Background`] a job *starts* only on a cycle where
 //! no demand command could issue, on a bank with no queued demand,
 //! outside the tRRD shadow of imminent demand activates; once a phase's
@@ -73,7 +75,7 @@
 //! [`ModeTable`]: clr_core::mode::ModeTable
 //! [`MemorySystem::pump_placement`]: crate::system::MemorySystem::pump_placement
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
 use clr_core::mode::RowMode;
 
@@ -165,15 +167,6 @@ impl Default for RelocationConfig {
     }
 }
 
-/// Which half of the data movement a same-bank job is executing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum JobPhase {
-    /// ACT in the old mode, RD bursts, PRE — then the couple point.
-    ReadOut,
-    /// ACT in the new mode, WR bursts, PRE — then the job is complete.
-    WriteBack,
-}
-
 /// What a migration job moves and why — the capacity directory's job
 /// taxonomy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,33 +188,37 @@ pub enum JobKind {
     FillIn,
 }
 
-/// Per-side execution state of a job.
+/// Execution state of a job's two sides: the read-out on the owning bank
+/// and the write-back on the destination frame's bank. Sides on one bank
+/// share its row buffer, so the write-back opens only after the
+/// read-out's PRE; sides on two banks progress concurrently. A fill-in
+/// has no read-out side (`src_done` from dispatch), an evacuate-out no
+/// write-back side (`wr_remaining` 0).
 #[derive(Debug, Clone, Copy)]
-enum JobState {
-    /// Legacy same-bank coupling: strictly sequential phases on one
-    /// bank's row buffer.
-    SameBank {
-        phase: JobPhase,
-        /// Whether the current phase's ACT has issued.
-        opened: bool,
-        /// Column bursts remaining in the current phase.
-        remaining: u32,
-    },
-    /// A job whose read-out and write-back sides live on different banks
-    /// (or that has only one side): the sides progress concurrently.
-    TwoBank {
-        /// Whether the read-out ACT has issued.
-        src_opened: bool,
-        /// RD bursts remaining.
-        rd_remaining: u32,
-        /// Whether the read-out side finished (its PRE issued) — for
-        /// [`JobKind::FillIn`] true from dispatch.
-        src_done: bool,
-        /// Whether the write-back ACT has issued.
-        dest_opened: bool,
-        /// WR bursts remaining.
-        wr_remaining: u32,
-    },
+struct JobState {
+    /// Whether the read-out ACT has issued.
+    src_opened: bool,
+    /// RD bursts remaining.
+    rd_remaining: u32,
+    /// Whether the read-out side finished (its PRE issued).
+    src_done: bool,
+    /// Whether the write-back ACT has issued.
+    dest_opened: bool,
+    /// WR bursts remaining.
+    wr_remaining: u32,
+}
+
+impl JobState {
+    /// A fresh job moving `rd` bursts out and `wr` bursts back.
+    fn new(rd: u32, wr: u32) -> Self {
+        JobState {
+            src_opened: false,
+            rd_remaining: rd,
+            src_done: rd == 0,
+            dest_opened: false,
+            wr_remaining: wr,
+        }
+    }
 }
 
 /// One row's relocation, decomposed into commands.
@@ -258,7 +255,7 @@ impl MigrationJob {
         }
     }
 
-    /// Whether the job has a read-out side still to run.
+    /// Whether the job has a read-out side (every kind but a fill-in).
     fn has_src_side(&self) -> bool {
         !matches!(self.kind, JobKind::FillIn)
     }
@@ -359,95 +356,6 @@ pub struct PlacementEvent {
     pub dest: u32,
 }
 
-/// Sentinel slot index for [`JobArena`] links.
-const NIL: u32 = u32::MAX;
-
-/// Per-bank migration-job FIFOs backed by one shared slab: jobs live in
-/// a single contiguous `Vec` with intrusive `next` links and per-bank
-/// `head`/`tail` cursors, so steady-state push/pop recycles slots from
-/// the free list instead of reallocating per-bank ring buffers. Queue
-/// order is identical to the `Vec<VecDeque>` it replaces.
-#[derive(Debug)]
-struct JobArena {
-    jobs: Vec<MigrationJob>,
-    /// Next slot in the owning bank's FIFO (`NIL` at the tail).
-    next: Vec<u32>,
-    head: Vec<u32>,
-    tail: Vec<u32>,
-    free: Vec<u32>,
-}
-
-impl JobArena {
-    fn new(banks: usize) -> Self {
-        JobArena {
-            jobs: Vec::new(),
-            next: Vec::new(),
-            head: vec![NIL; banks],
-            tail: vec![NIL; banks],
-            free: Vec::new(),
-        }
-    }
-
-    fn banks(&self) -> usize {
-        self.head.len()
-    }
-
-    fn alloc(&mut self, job: MigrationJob) -> u32 {
-        if let Some(slot) = self.free.pop() {
-            self.jobs[slot as usize] = job;
-            self.next[slot as usize] = NIL;
-            slot
-        } else {
-            self.jobs.push(job);
-            self.next.push(NIL);
-            (self.jobs.len() - 1) as u32
-        }
-    }
-
-    fn push_back(&mut self, bank: usize, job: MigrationJob) {
-        let slot = self.alloc(job);
-        match self.tail[bank] {
-            NIL => self.head[bank] = slot,
-            t => self.next[t as usize] = slot,
-        }
-        self.tail[bank] = slot;
-    }
-
-    fn push_front(&mut self, bank: usize, job: MigrationJob) {
-        let slot = self.alloc(job);
-        self.next[slot as usize] = self.head[bank];
-        self.head[bank] = slot;
-        if self.tail[bank] == NIL {
-            self.tail[bank] = slot;
-        }
-    }
-
-    fn front(&self, bank: usize) -> Option<&MigrationJob> {
-        match self.head[bank] {
-            NIL => None,
-            h => Some(&self.jobs[h as usize]),
-        }
-    }
-
-    fn pop_front(&mut self, bank: usize) -> Option<MigrationJob> {
-        let h = self.head[bank];
-        if h == NIL {
-            return None;
-        }
-        let job = self.jobs[h as usize];
-        self.head[bank] = self.next[h as usize];
-        if self.head[bank] == NIL {
-            self.tail[bank] = NIL;
-        }
-        self.free.push(h);
-        Some(job)
-    }
-
-    fn is_empty(&self, bank: usize) -> bool {
-        self.head[bank] == NIL
-    }
-}
-
 /// Per-bank job queues plus the rate limiter — the bookkeeping half of
 /// background migration (the controller owns all protocol state).
 #[derive(Debug)]
@@ -457,10 +365,10 @@ pub struct MigrationEngine {
     /// burst per column access (matches the relocation cost model's
     /// `bursts_per_row`). Whole-row frame moves transfer twice this.
     bursts_per_phase: u32,
-    queues: JobArena,
+    queues: Vec<VecDeque<MigrationJob>>,
     active: Vec<Option<MigrationJob>>,
-    /// For banks serving as the *destination* side of an active two-bank
-    /// job: the owning bank.
+    /// For banks serving as the *destination* side of an active job: the
+    /// owning bank (the bank itself when both sides share it).
     dest_of: Vec<Option<usize>>,
     /// Banks with an in-flight migration role (job source or
     /// destination).
@@ -513,7 +421,7 @@ impl MigrationEngine {
         MigrationEngine {
             cfg,
             bursts_per_phase: bursts,
-            queues: JobArena::new(banks),
+            queues: vec![VecDeque::new(); banks],
             active: vec![None; banks],
             dest_of: vec![None; banks],
             busy: vec![false; banks],
@@ -569,7 +477,7 @@ impl MigrationEngine {
     /// the controller's per-tick scans can skip workless banks before
     /// paying any eligibility or timing checks.
     pub fn bank_has_work(&self, bank: usize) -> bool {
-        self.busy[bank] || self.active[bank].is_some() || !self.queues.is_empty(bank)
+        self.busy[bank] || self.active[bank].is_some() || !self.queues[bank].is_empty()
     }
 
     /// Whether bank `b`'s in-flight role is mid-burst-train (its side's
@@ -583,22 +491,20 @@ impl MigrationEngine {
     }
 
     /// Whether bank `b`'s in-flight *same-bank* job is waiting to open
-    /// its write-back phase. The controller aligns these with
-    /// write-drain episodes: a WR burst train injected while the rank
-    /// serves reads pays a write→read turnaround that blocks the whole
-    /// rank, but during a drain the bus is already turned around for
-    /// writes. Cross-bank destinations are exempt — hiding the
-    /// destination ACT under the read-out is the point of the placement.
+    /// its write-back side (read-out PRE issued, write-back ACT not yet).
+    /// The controller aligns these with write-drain episodes: a WR burst
+    /// train injected while the rank serves reads pays a write→read
+    /// turnaround that blocks the whole rank, but during a drain the bus
+    /// is already turned around for writes. Cross-bank destinations are
+    /// exempt — hiding the destination ACT under the read-out is the
+    /// point of the placement — and so are fill-ins, which have no
+    /// read-out to follow.
     pub fn pending_writeback_act(&self, bank: usize) -> bool {
         self.active[bank].is_some_and(|j| {
-            matches!(
-                j.state,
-                JobState::SameBank {
-                    opened: false,
-                    phase: JobPhase::WriteBack,
-                    ..
-                }
-            )
+            j.has_src_side()
+                && j.dest_bank as usize == bank
+                && j.state.src_done
+                && !j.state.dest_opened
         })
     }
 
@@ -649,26 +555,11 @@ impl MigrationEngine {
         self.reserved.remove(&(bank as u32, row))
     }
 
-    /// Dispatches one coupling job whose displaced data lands in `dest`
-    /// (a max-capacity row of the same bank). Returns `false` (and does
-    /// nothing) if either row already has a pending role.
-    pub fn dispatch(
-        &mut self,
-        bank: usize,
-        row: u32,
-        dest: u32,
-        from: RowMode,
-        to: RowMode,
-        now: u64,
-    ) -> bool {
-        self.dispatch_couple(bank, row, bank, dest, from, to, now)
-    }
-
-    /// Dispatches one coupling job with an explicit destination bank:
-    /// `dest_bank == bank` is the legacy serialized placement, anything
-    /// else the overlapped two-bank execution. Returns `false` (and does
-    /// nothing) if either row already has a pending role or the
-    /// coordinates are degenerate.
+    /// Dispatches one coupling job whose displaced data lands in the
+    /// max-capacity frame `(dest_bank, dest)`: `dest_bank == bank`
+    /// serializes the two sides on one row buffer, anything else overlaps
+    /// them on two banks. Returns `false` (and does nothing) if either
+    /// row already has a pending role or the coordinates are degenerate.
     #[allow(clippy::too_many_arguments)]
     pub fn dispatch_couple(
         &mut self,
@@ -686,21 +577,6 @@ impl MigrationEngine {
         {
             return false;
         }
-        let state = if dest_bank == bank {
-            JobState::SameBank {
-                phase: JobPhase::ReadOut,
-                opened: false,
-                remaining: self.bursts_per_phase,
-            }
-        } else {
-            JobState::TwoBank {
-                src_opened: false,
-                rd_remaining: self.bursts_per_phase,
-                src_done: false,
-                dest_opened: false,
-                wr_remaining: self.bursts_per_phase,
-            }
-        };
         self.enqueue_job(
             bank,
             MigrationJob {
@@ -711,7 +587,7 @@ impl MigrationEngine {
                 from,
                 to,
                 dispatched_at: now,
-                state,
+                state: JobState::new(self.bursts_per_phase, self.bursts_per_phase),
             },
         );
         true
@@ -745,13 +621,7 @@ impl MigrationEngine {
                 from: RowMode::MaxCapacity,
                 to: RowMode::MaxCapacity,
                 dispatched_at: now,
-                state: JobState::TwoBank {
-                    src_opened: false,
-                    rd_remaining: self.bursts_per_frame_move(),
-                    src_done: false,
-                    dest_opened: false,
-                    wr_remaining: self.bursts_per_frame_move(),
-                },
+                state: JobState::new(self.bursts_per_frame_move(), self.bursts_per_frame_move()),
             },
         );
         true
@@ -776,13 +646,7 @@ impl MigrationEngine {
                 from: RowMode::MaxCapacity,
                 to: RowMode::MaxCapacity,
                 dispatched_at: now,
-                state: JobState::TwoBank {
-                    src_opened: false,
-                    rd_remaining: self.bursts_per_frame_move(),
-                    src_done: false,
-                    dest_opened: false,
-                    wr_remaining: 0,
-                },
+                state: JobState::new(self.bursts_per_frame_move(), 0),
             },
         );
         true
@@ -818,13 +682,7 @@ impl MigrationEngine {
                 from: RowMode::MaxCapacity,
                 to: RowMode::MaxCapacity,
                 dispatched_at: now,
-                state: JobState::TwoBank {
-                    src_opened: false,
-                    rd_remaining: 0,
-                    src_done: true,
-                    dest_opened: false,
-                    wr_remaining: self.bursts_per_frame_move(),
-                },
+                state: JobState::new(0, self.bursts_per_frame_move()),
             },
         );
         true
@@ -840,8 +698,8 @@ impl MigrationEngine {
         // the bank's coupling backlog; couplings keep FIFO order among
         // themselves.
         match job.kind {
-            JobKind::Couple => self.queues.push_back(bank, job),
-            _ => self.queues.push_front(bank, job),
+            JobKind::Couple => self.queues[bank].push_back(job),
+            _ => self.queues[bank].push_front(job),
         }
         self.pending_jobs += 1;
     }
@@ -852,7 +710,7 @@ impl MigrationEngine {
         if self.active[bank].is_some() || self.dest_of[bank].is_some() {
             return true;
         }
-        self.queues.front(bank).is_some_and(|j| {
+        self.queues[bank].front().is_some_and(|j| {
             j.cross_dest_bank(bank)
                 .is_some_and(|db| self.active[db].is_some() || self.dest_of[db].is_some())
         })
@@ -876,7 +734,7 @@ impl MigrationEngine {
         if self.start_blocked(bank) {
             return None;
         }
-        self.queues.front(bank).map(Self::start_target)
+        self.queues[bank].front().map(Self::start_target)
     }
 
     /// The earliest cycle ≥ `now` at which the rate limiter permits a
@@ -896,165 +754,64 @@ impl MigrationEngine {
     }
 
     /// The read-out-side command of an in-flight job on its owning bank,
-    /// `None` once that side is done.
+    /// `None` once that side is done (or for a fill-in, which has none).
     fn src_side_command(
         job: &MigrationJob,
         open: Option<(u32, RowMode)>,
     ) -> Option<NextMigrationCommand> {
-        match job.state {
-            JobState::SameBank {
-                phase,
-                opened,
-                remaining,
-            } => {
-                // Legacy sequential walk, verbatim.
-                let cmd = if !opened {
-                    // Between phases the bank is released to demand; if a
-                    // demand row is open when the next phase is due, it is
-                    // closed first.
-                    if let Some((row, mode)) = open {
-                        NextMigrationCommand {
-                            command: Command::Pre,
-                            row,
-                            mode,
-                        }
-                    } else {
-                        // Read-out activates the source in its old mode; the
-                        // write-back activates the (max-capacity) destination
-                        // frame.
-                        let (row, mode) = match phase {
-                            JobPhase::ReadOut => (job.row, job.from),
-                            JobPhase::WriteBack => (job.dest, RowMode::MaxCapacity),
-                        };
-                        NextMigrationCommand {
-                            command: Command::Act,
-                            row,
-                            mode,
-                        }
-                    }
-                } else if remaining > 0 {
-                    let command = match phase {
-                        JobPhase::ReadOut => Command::Rd,
-                        JobPhase::WriteBack => Command::Wr,
-                    };
-                    let (row, mode) = open.expect("in-flight job holds the bank open");
-                    NextMigrationCommand { command, row, mode }
-                } else {
-                    let (row, mode) = open.expect("in-flight job holds the bank open");
-                    NextMigrationCommand {
-                        command: Command::Pre,
-                        row,
-                        mode,
-                    }
-                };
-                Some(cmd)
-            }
-            JobState::TwoBank {
-                src_opened,
-                rd_remaining,
-                src_done,
-                ..
-            } => {
-                if src_done || !job.has_src_side() {
-                    return None;
-                }
-                let cmd = if !src_opened {
-                    if let Some((row, mode)) = open {
-                        // A demand row (or refresh leftover) occupies the
-                        // buffer; close it before (re-)activating.
-                        NextMigrationCommand {
-                            command: Command::Pre,
-                            row,
-                            mode,
-                        }
-                    } else {
-                        NextMigrationCommand {
-                            command: Command::Act,
-                            row: job.row,
-                            mode: job.from,
-                        }
-                    }
-                } else if rd_remaining > 0 {
-                    let (row, mode) = open.expect("read-out holds the bank open");
-                    NextMigrationCommand {
-                        command: Command::Rd,
-                        row,
-                        mode,
-                    }
-                } else {
-                    let (row, mode) = open.expect("read-out holds the bank open");
-                    NextMigrationCommand {
-                        command: Command::Pre,
-                        row,
-                        mode,
-                    }
-                };
-                Some(cmd)
-            }
+        let s = job.state;
+        if s.src_done {
+            return None;
         }
+        let (command, (row, mode)) = if !s.src_opened {
+            match open {
+                // A demand row (or refresh leftover) occupies the buffer;
+                // close it before (re-)activating.
+                Some(open) => (Command::Pre, open),
+                None => (Command::Act, (job.row, job.from)),
+            }
+        } else if s.rd_remaining > 0 {
+            (Command::Rd, open.expect("read-out holds the bank open"))
+        } else {
+            (Command::Pre, open.expect("read-out holds the bank open"))
+        };
+        Some(NextMigrationCommand { command, row, mode })
     }
 
-    /// The write-back-side command of an in-flight two-bank job on its
-    /// destination bank. `None` while the side is blocked on unread data
-    /// or on the couple point — both released by source-side events.
+    /// The write-back-side command of an in-flight job on its destination
+    /// bank. `None` while the side is blocked on unread data or on the
+    /// couple point — both released by source-side events.
     fn dest_side_command(
         job: &MigrationJob,
         open: Option<(u32, RowMode)>,
     ) -> Option<NextMigrationCommand> {
-        let JobState::TwoBank {
-            rd_remaining,
-            src_done,
-            dest_opened,
-            wr_remaining,
-            ..
-        } = job.state
-        else {
-            return None;
-        };
-        if !dest_opened {
-            return Some(match open {
+        let s = job.state;
+        let (command, (row, mode)) = if !s.dest_opened {
+            match open {
                 // A demand row occupies the destination's buffer; close
                 // it first.
-                Some((row, mode)) => NextMigrationCommand {
-                    command: Command::Pre,
-                    row,
-                    mode,
-                },
-                // The write-back ACT may issue any time from the job's
-                // start: hiding its ACT/tRCD window under the read-out is
-                // the overlap this placement buys.
-                None => NextMigrationCommand {
-                    command: Command::Act,
-                    row: job.dest,
-                    mode: RowMode::MaxCapacity,
-                },
-            });
-        }
-        if wr_remaining > 0 {
+                Some(open) => (Command::Pre, open),
+                // On another bank the write-back ACT may issue any time
+                // from the job's start: hiding its ACT/tRCD window under
+                // the read-out is the overlap a cross-bank placement buys.
+                None => (Command::Act, (job.dest, RowMode::MaxCapacity)),
+            }
+        } else if s.wr_remaining > 0 {
             // A write burst may only carry data that has been read:
             // wr_remaining must stay strictly behind rd_remaining.
-            if wr_remaining > rd_remaining {
-                let (row, mode) = open.expect("write-back holds the bank open");
-                return Some(NextMigrationCommand {
-                    command: Command::Wr,
-                    row,
-                    mode,
-                });
+            if s.wr_remaining <= s.rd_remaining {
+                return None;
             }
-            return None;
-        }
-        if !src_done {
+            (Command::Wr, open.expect("write-back holds the bank open"))
+        } else if !s.src_done {
             // All data written but the source has not precharged (the
             // couple point, for couplings): completion must not outrun
             // it.
             return None;
-        }
-        let (row, mode) = open.expect("write-back holds the bank open");
-        Some(NextMigrationCommand {
-            command: Command::Pre,
-            row,
-            mode,
-        })
+        } else {
+            (Command::Pre, open.expect("write-back holds the bank open"))
+        };
+        Some(NextMigrationCommand { command, row, mode })
     }
 
     /// The command migration would issue next on `bank`, given the bank's
@@ -1068,13 +825,11 @@ impl MigrationEngine {
         open: Option<(u32, RowMode)>,
     ) -> Option<NextMigrationCommand> {
         if let Some(job) = self.active[bank].as_ref() {
+            // The read-out side asks first, so a write-back sharing this
+            // bank opens only after the read-out's PRE.
             if let Some(cmd) = Self::src_side_command(job, open) {
                 return Some(cmd);
             }
-            // The source side is done (or absent). If this bank doubles
-            // as the job's destination (fill-in), the dest lookup below
-            // serves it; a cross-bank owner has nothing more to issue
-            // here.
         }
         if let Some(owner) = self.dest_of[bank] {
             let job = self.active[owner]
@@ -1083,6 +838,8 @@ impl MigrationEngine {
             return Self::dest_side_command(job, open);
         }
         if self.active[bank].is_some() {
+            // A cross-bank owner past its couple point: nothing more to
+            // issue here.
             return None;
         }
         if open.is_some() {
@@ -1096,6 +853,21 @@ impl MigrationEngine {
         })
     }
 
+    /// The side `bank` serves, as the owning bank of its job and whether
+    /// the side is the read-out (the owning bank's, until its PRE) rather
+    /// than the write-back. `None` when the bank has no migration role.
+    fn role(&self, bank: usize) -> Option<(usize, bool)> {
+        if self.active[bank].is_some_and(|j| !j.state.src_done) {
+            Some((bank, true))
+        } else {
+            self.dest_of[bank].map(|owner| (owner, false))
+        }
+    }
+
+    fn state_mut(&mut self, owner: usize) -> &mut JobState {
+        &mut self.active[owner].as_mut().expect("active owner").state
+    }
+
     /// Records that a migration ACT issued on `bank` (installs the
     /// owning job as active first if it was still queued).
     pub fn note_act(&mut self, bank: usize, now: u64) {
@@ -1103,77 +875,30 @@ impl MigrationEngine {
         if self.active[bank].is_none() && self.dest_of[bank].is_none() {
             self.start(bank, now);
         }
-        // Source side?
-        if let Some(job) = self.active[bank].as_mut() {
-            match &mut job.state {
-                JobState::SameBank { opened, .. } => {
-                    debug_assert!(!*opened, "double ACT within a phase");
-                    *opened = true;
-                    self.held[bank] = true;
-                    return;
-                }
-                JobState::TwoBank {
-                    src_opened,
-                    src_done,
-                    ..
-                } if !*src_done && job.kind != JobKind::FillIn => {
-                    debug_assert!(!*src_opened, "double read-out ACT");
-                    *src_opened = true;
-                    self.held[bank] = true;
-                    return;
-                }
-                _ => {}
-            }
+        let (owner, reading) = self.role(bank).expect("ACT requires a migration role");
+        let s = self.state_mut(owner);
+        if reading {
+            debug_assert!(!s.src_opened, "double read-out ACT");
+            s.src_opened = true;
+        } else {
+            debug_assert!(!s.dest_opened, "double write-back ACT");
+            s.dest_opened = true;
         }
-        // Destination side.
-        let owner = self.dest_of[bank].expect("ACT requires a migration role");
-        let job = self.active[owner].as_mut().expect("active owner");
-        let JobState::TwoBank { dest_opened, .. } = &mut job.state else {
-            unreachable!("dest role is only taken by two-bank jobs");
-        };
-        debug_assert!(!*dest_opened, "double write-back ACT");
-        *dest_opened = true;
         self.held[bank] = true;
     }
 
     /// Records that a migration column burst issued on `bank`.
     pub fn note_column(&mut self, bank: usize, _now: u64) {
         self.bump(bank);
-        if let Some(job) = self.active[bank].as_mut() {
-            match &mut job.state {
-                JobState::SameBank {
-                    opened, remaining, ..
-                } => {
-                    debug_assert!(*opened && *remaining > 0);
-                    *remaining -= 1;
-                    return;
-                }
-                JobState::TwoBank {
-                    src_opened,
-                    rd_remaining,
-                    src_done,
-                    ..
-                } if !*src_done && job.kind != JobKind::FillIn => {
-                    debug_assert!(*src_opened && *rd_remaining > 0);
-                    *rd_remaining -= 1;
-                    return;
-                }
-                _ => {}
-            }
+        let (owner, reading) = self.role(bank).expect("column requires a migration role");
+        let s = self.state_mut(owner);
+        if reading {
+            debug_assert!(s.src_opened && s.rd_remaining > 0);
+            s.rd_remaining -= 1;
+        } else {
+            debug_assert!(s.dest_opened && s.wr_remaining > s.rd_remaining);
+            s.wr_remaining -= 1;
         }
-        let owner = self.dest_of[bank].expect("column requires a migration role");
-        let job = self.active[owner].as_mut().expect("active owner");
-        let JobState::TwoBank {
-            dest_opened,
-            wr_remaining,
-            rd_remaining,
-            ..
-        } = &mut job.state
-        else {
-            unreachable!("dest role is only taken by two-bank jobs");
-        };
-        debug_assert!(*dest_opened && *wr_remaining > *rd_remaining);
-        *wr_remaining -= 1;
     }
 
     /// Records that a migration PRE issued on `bank`: a side's
@@ -1182,141 +907,74 @@ impl MigrationEngine {
     /// couple points, completions, and placement bookkeeping.
     pub fn note_pre(&mut self, bank: usize) -> MigrationStep {
         self.bump(bank);
-        debug_assert!(
-            self.active[bank].is_some() || self.dest_of[bank].is_some(),
-            "migration PRE on a bank no job owns"
-        );
-        // Source side?
-        if let Some(job) = self.active[bank] {
-            match job.state {
-                JobState::SameBank {
-                    phase,
-                    opened,
-                    remaining,
-                } => {
-                    if !opened {
-                        // The job owned the bank but its phase ACT had not
-                        // issued — the PRE closed a demand row ahead of the
-                        // re-ACT.
-                        return MigrationStep::InProgress;
-                    }
-                    debug_assert_eq!(remaining, 0, "PRE before the phase drained");
-                    self.held[bank] = false;
-                    match phase {
-                        JobPhase::ReadOut => {
-                            let job = self.active[bank].as_mut().expect("checked above");
-                            job.state = JobState::SameBank {
-                                phase: JobPhase::WriteBack,
-                                opened: false,
-                                remaining: self.bursts_per_phase,
-                            };
-                            // From the couple point on, the source row is
-                            // usable in its new mode; only the destination
-                            // frame still blocks.
-                            self.row_block[bank] = job.dest;
-                            self.readout_src[bank] = u32::MAX;
-                            return MigrationStep::Couple {
-                                row: job.row,
-                                to: job.to,
-                            };
-                        }
-                        JobPhase::WriteBack => {
-                            return self.complete_job(bank);
-                        }
-                    }
-                }
-                JobState::TwoBank {
-                    src_opened,
-                    rd_remaining,
-                    src_done,
-                    ..
-                } if !src_done && job.has_src_side() => {
-                    if !src_opened {
-                        return MigrationStep::InProgress;
-                    }
-                    debug_assert_eq!(rd_remaining, 0, "PRE before the read-out drained");
-                    self.held[bank] = false;
-                    let job = self.active[bank].as_mut().expect("checked above");
-                    let JobState::TwoBank { src_done, .. } = &mut job.state else {
-                        unreachable!()
-                    };
-                    *src_done = true;
-                    match job.kind {
-                        JobKind::Couple => {
-                            // The couple point: the source row is usable in
-                            // its new mode from here; only the destination
-                            // frame (in its own bank) still blocks.
-                            let (row, to) = (job.row, job.to);
-                            self.row_block[bank] = u32::MAX;
-                            self.readout_src[bank] = u32::MAX;
-                            return MigrationStep::Couple { row, to };
-                        }
-                        JobKind::Evacuate => {
-                            // The data is staged in flight to the other
-                            // bank; the vacated row stays blocked until the
-                            // move lands.
-                            self.readout_src[bank] = u32::MAX;
-                            return MigrationStep::InProgress;
-                        }
-                        JobKind::EvacuateOut => {
-                            // Single-sided: the read-out completes the job.
-                            // The source row's reservation survives until
-                            // the system confirms the landing on the other
-                            // channel. The *demand* block is released here,
-                            // though: row blocks are tied to in-flight
-                            // roles, so a demand write landing in the
-                            // staging window (before the fill lands and the
-                            // remap swap redirects the address) is a known
-                            // fidelity approximation of this data-less
-                            // model — it costs nothing in timing, and the
-                            // staging window is bounded by the pump cadence
-                            // (see the ROADMAP open item).
-                            let row = job.row;
-                            let dispatched_at = job.dispatched_at;
-                            self.active[bank] = None;
-                            self.busy[bank] = false;
-                            self.row_block[bank] = u32::MAX;
-                            self.readout_src[bank] = u32::MAX;
-                            self.pending_jobs -= 1;
-                            self.placements.push(PlacementEvent {
-                                kind: JobKind::EvacuateOut,
-                                bank: bank as u32,
-                                row,
-                                dest_bank: u32::MAX,
-                                dest: u32::MAX,
-                            });
-                            return MigrationStep::StagedOut {
-                                bank: bank as u32,
-                                row,
-                                dispatched_at,
-                            };
-                        }
-                        JobKind::FillIn => unreachable!("fill-ins have no source side"),
-                    }
-                }
-                _ => {}
-            }
-        }
-        // Destination side.
-        let owner = self.dest_of[bank].expect("PRE requires a migration role");
-        let job = self.active[owner].expect("active owner");
-        let JobState::TwoBank {
-            dest_opened,
-            wr_remaining,
-            src_done,
-            ..
-        } = job.state
-        else {
-            unreachable!("dest role is only taken by two-bank jobs");
-        };
-        if !dest_opened {
-            // Closed a demand row ahead of the write-back ACT.
+        let (owner, reading) = self
+            .role(bank)
+            .expect("migration PRE on a bank no job owns");
+        let s = self.state_mut(owner);
+        let opened = if reading { s.src_opened } else { s.dest_opened };
+        if !opened {
+            // The PRE closed a demand row ahead of the side's (re-)ACT.
             return MigrationStep::InProgress;
         }
-        debug_assert_eq!(wr_remaining, 0, "PRE before the write-back drained");
-        debug_assert!(src_done, "completion must not outrun the couple point");
+        if !reading {
+            debug_assert_eq!(s.wr_remaining, 0, "PRE before the write-back drained");
+            debug_assert!(s.src_done, "completion must not outrun the couple point");
+            self.held[bank] = false;
+            return self.complete_job(owner);
+        }
+        debug_assert_eq!(s.rd_remaining, 0, "PRE before the read-out drained");
+        s.src_done = true;
         self.held[bank] = false;
-        self.complete_job(owner)
+        self.readout_src[bank] = u32::MAX;
+        let job = self.active[bank].expect("reading implies an active job");
+        match job.kind {
+            JobKind::Couple => {
+                // The couple point: the source row is usable in its new
+                // mode from here; only the destination frame still
+                // blocks, on whichever bank it lives.
+                self.row_block[bank] = if job.dest_bank as usize == bank {
+                    job.dest
+                } else {
+                    u32::MAX
+                };
+                MigrationStep::Couple {
+                    row: job.row,
+                    to: job.to,
+                }
+            }
+            // The data is staged in flight to the other bank; the
+            // vacated row stays blocked until the move lands.
+            JobKind::Evacuate => MigrationStep::InProgress,
+            JobKind::EvacuateOut => {
+                // Single-sided: the read-out completes the job. The
+                // source row's reservation survives until the system
+                // confirms the landing on the other channel. The *demand*
+                // block is released here, though: row blocks are tied to
+                // in-flight roles, so a demand write landing in the
+                // staging window (before the fill lands and the remap
+                // swap redirects the address) is a known fidelity
+                // approximation of this data-less model — it costs
+                // nothing in timing, and the staging window is bounded by
+                // the pump cadence (see the ROADMAP open item).
+                self.active[bank] = None;
+                self.busy[bank] = false;
+                self.row_block[bank] = u32::MAX;
+                self.pending_jobs -= 1;
+                self.placements.push(PlacementEvent {
+                    kind: JobKind::EvacuateOut,
+                    bank: bank as u32,
+                    row: job.row,
+                    dest_bank: u32::MAX,
+                    dest: u32::MAX,
+                });
+                MigrationStep::StagedOut {
+                    bank: bank as u32,
+                    row: job.row,
+                    dispatched_at: job.dispatched_at,
+                }
+            }
+            JobKind::FillIn => unreachable!("fill-ins have no source side"),
+        }
     }
 
     /// Finishes the active job owned by `owner`, releasing every role
@@ -1331,7 +989,7 @@ impl MigrationEngine {
             self.busy[db] = false;
             self.row_block[db] = u32::MAX;
         }
-        if owner as u32 == job.dest_bank && job.kind == JobKind::FillIn {
+        if owner as u32 == job.dest_bank {
             self.dest_of[owner] = None;
         }
         self.pending_jobs -= 1;
@@ -1397,49 +1055,20 @@ impl MigrationEngine {
     /// out from under an in-flight migration role: that side must
     /// re-activate before continuing.
     pub fn on_forced_precharge(&mut self, bank: usize) {
-        if let Some(job) = self.active[bank].as_mut() {
-            match &mut job.state {
-                JobState::SameBank { opened, .. } => {
-                    *opened = false;
-                    self.held[bank] = false;
-                    return;
-                }
-                JobState::TwoBank {
-                    src_opened,
-                    src_done,
-                    ..
-                } if !*src_done && job.kind != JobKind::FillIn => {
-                    *src_opened = false;
-                    self.held[bank] = false;
-                    return;
-                }
-                _ => {}
+        if let Some((owner, reading)) = self.role(bank) {
+            let s = self.state_mut(owner);
+            if reading {
+                s.src_opened = false;
+            } else {
+                s.dest_opened = false;
             }
-        }
-        if let Some(owner) = self.dest_of[bank] {
-            if let Some(job) = self.active[owner].as_mut() {
-                if let JobState::TwoBank { dest_opened, .. } = &mut job.state {
-                    *dest_opened = false;
-                    self.held[bank] = false;
-                }
-            }
+            self.held[bank] = false;
         }
     }
 
     /// The bank the round-robin scan should visit first.
     pub fn rr_start(&self) -> usize {
         self.rr_next
-    }
-
-    /// Banks that currently have migration work (an in-flight role or a
-    /// non-empty queue), visited from the round-robin pointer.
-    pub fn banks_with_work(&self) -> impl Iterator<Item = usize> + '_ {
-        let n = self.queues.banks();
-        (0..n)
-            .map(move |i| (self.rr_next + i) % n)
-            .filter(move |&b| {
-                self.active[b].is_some() || self.dest_of[b].is_some() || !self.queues.is_empty(b)
-            })
     }
 
     /// Drains completed coupling `(bank, row, mode)` transitions into
@@ -1468,32 +1097,29 @@ impl MigrationEngine {
             }
             self.issued_in_window += 1;
         }
-        let job = self
-            .queues
-            .pop_front(bank)
+        let job = self.queues[bank]
+            .pop_front()
             .expect("start requires a queued job");
         self.busy[bank] = true;
-        match job.kind {
-            JobKind::FillIn => {
-                // Owning bank doubles as the destination bank.
-                self.row_block[bank] = job.dest;
-                self.dest_of[bank] = Some(bank);
-            }
-            _ => {
-                self.row_block[bank] = job.row;
-                self.readout_src[bank] = job.row;
-                if let Some(db) = job.cross_dest_bank(bank) {
-                    self.dest_of[db] = Some(bank);
-                    self.busy[db] = true;
-                    self.row_block[db] = job.dest;
-                }
-            }
+        if job.has_src_side() {
+            self.row_block[bank] = job.row;
+            self.readout_src[bank] = job.row;
+        } else {
+            self.row_block[bank] = job.dest;
+        }
+        if job.dest_bank as usize == bank {
+            // The owning bank doubles as the destination bank.
+            self.dest_of[bank] = Some(bank);
+        } else if let Some(db) = job.cross_dest_bank(bank) {
+            self.dest_of[db] = Some(bank);
+            self.busy[db] = true;
+            self.row_block[db] = job.dest;
         }
         self.active[bank] = Some(job);
     }
 
     fn bump(&mut self, bank: usize) {
-        self.rr_next = (bank + 1) % self.queues.banks().max(1);
+        self.rr_next = (bank + 1) % self.queues.len().max(1);
     }
 }
 
@@ -1516,10 +1142,34 @@ mod tests {
     #[test]
     fn job_walks_read_out_couple_write_back() {
         let mut e = engine(None);
-        assert!(e.dispatch(1, 7, 40, RowMode::MaxCapacity, RowMode::HighPerformance, 0));
-        assert!(!e.dispatch(1, 7, 41, RowMode::MaxCapacity, RowMode::HighPerformance, 0));
+        assert!(e.dispatch_couple(
+            1,
+            7,
+            1,
+            40,
+            RowMode::MaxCapacity,
+            RowMode::HighPerformance,
+            0
+        ));
+        assert!(!e.dispatch_couple(
+            1,
+            7,
+            1,
+            41,
+            RowMode::MaxCapacity,
+            RowMode::HighPerformance,
+            0
+        ));
         assert!(
-            !e.dispatch(1, 9, 40, RowMode::MaxCapacity, RowMode::HighPerformance, 0),
+            !e.dispatch_couple(
+                1,
+                9,
+                1,
+                40,
+                RowMode::MaxCapacity,
+                RowMode::HighPerformance,
+                0
+            ),
             "a busy destination frame refuses a second job"
         );
         assert_eq!(e.pending_jobs(), 1);
@@ -1585,7 +1235,15 @@ mod tests {
     #[test]
     fn pure_background_never_starts_on_an_open_bank() {
         let mut e = engine(None);
-        e.dispatch(0, 3, 40, RowMode::MaxCapacity, RowMode::HighPerformance, 0);
+        e.dispatch_couple(
+            0,
+            3,
+            0,
+            40,
+            RowMode::MaxCapacity,
+            RowMode::HighPerformance,
+            0,
+        );
         // The bank is open with a demand row: no start command until the
         // bank closes (demand territory).
         assert!(e.next_command(0, Some((9, RowMode::MaxCapacity))).is_none());
@@ -1598,7 +1256,15 @@ mod tests {
     #[test]
     fn forced_precharge_restarts_the_phase_act() {
         let mut e = engine(None);
-        e.dispatch(2, 1, 40, RowMode::MaxCapacity, RowMode::HighPerformance, 0);
+        e.dispatch_couple(
+            2,
+            1,
+            2,
+            40,
+            RowMode::MaxCapacity,
+            RowMode::HighPerformance,
+            0,
+        );
         e.note_act(2, 0);
         e.note_column(2, 10);
         e.on_forced_precharge(2);
@@ -1620,14 +1286,165 @@ mod tests {
     }
 
     #[test]
+    fn forced_precharge_mid_write_back_reacts_the_destination_frame() {
+        let mut e = engine(None);
+        e.dispatch_couple(
+            2,
+            1,
+            2,
+            40,
+            RowMode::MaxCapacity,
+            RowMode::HighPerformance,
+            0,
+        );
+        e.note_act(2, 0);
+        for i in 0..16 {
+            e.note_column(2, 1 + i);
+        }
+        assert!(matches!(
+            e.note_pre(2),
+            MigrationStep::Couple { row: 1, .. }
+        ));
+        e.note_act(2, 30);
+        for i in 0..5 {
+            let c = e.next_command(2, Some((40, RowMode::MaxCapacity))).unwrap();
+            assert_eq!(c.command, Command::Wr, "burst {i}");
+            e.note_column(2, 40 + i);
+        }
+        e.on_forced_precharge(2);
+        assert!(!e.is_mid_phase(2), "the refresh took the row buffer");
+        // A demand row opened meanwhile is closed first; that PRE neither
+        // completes the job nor couples the row again.
+        let c = e.next_command(2, Some((9, RowMode::MaxCapacity))).unwrap();
+        assert_eq!((c.command, c.row), (Command::Pre, 9));
+        assert_eq!(e.note_pre(2), MigrationStep::InProgress);
+        let c = e.next_command(2, None).unwrap();
+        assert_eq!(
+            (c.command, c.row, c.mode),
+            (Command::Act, 40, RowMode::MaxCapacity),
+            "the destination frame re-activates, not the source"
+        );
+        e.note_act(2, 80);
+        let mut sent = 0;
+        while e
+            .next_command(2, Some((40, RowMode::MaxCapacity)))
+            .unwrap()
+            .command
+            == Command::Wr
+        {
+            e.note_column(2, 90 + sent);
+            sent += 1;
+        }
+        assert_eq!(sent, 11, "the 5 WR bursts already sent stay sent");
+        assert_eq!(
+            e.note_pre(2),
+            MigrationStep::Complete {
+                row: 1,
+                to: RowMode::HighPerformance,
+                cross_bank: false,
+                dispatched_at: 0,
+            }
+        );
+        assert_eq!(e.next_command(2, None), None, "no role left on the bank");
+    }
+
+    #[test]
+    fn pending_writeback_act_marks_only_the_same_bank_gap() {
+        let pending = |e: &MigrationEngine| {
+            (0..4)
+                .filter(|&b| e.pending_writeback_act(b))
+                .collect::<Vec<_>>()
+        };
+        let mut e = engine(None);
+
+        // Same-bank coupling: pending exactly from the read-out PRE to
+        // the write-back ACT, across a demand-row close in between.
+        e.dispatch_couple(
+            0,
+            1,
+            0,
+            40,
+            RowMode::MaxCapacity,
+            RowMode::HighPerformance,
+            0,
+        );
+        assert!(pending(&e).is_empty(), "queued");
+        e.note_act(0, 0);
+        for i in 0..16 {
+            assert!(pending(&e).is_empty(), "read-out burst {i}");
+            e.note_column(0, 1 + i);
+        }
+        assert!(matches!(e.note_pre(0), MigrationStep::Couple { .. }));
+        assert_eq!(pending(&e), vec![0]);
+        assert_eq!(e.note_pre(0), MigrationStep::InProgress);
+        assert_eq!(pending(&e), vec![0], "a demand-row close keeps it");
+        e.note_act(0, 30);
+        assert!(pending(&e).is_empty(), "write-back ACT issued");
+        for i in 0..16 {
+            e.note_column(0, 31 + i);
+        }
+        e.note_pre(0);
+        assert!(pending(&e).is_empty(), "complete");
+
+        // Cross-bank coupling: the write-back ACT may still be due after
+        // the couple point, but never waits for a drain.
+        e.dispatch_couple(
+            1,
+            7,
+            3,
+            41,
+            RowMode::MaxCapacity,
+            RowMode::HighPerformance,
+            50,
+        );
+        e.note_act(1, 50);
+        for i in 0..16 {
+            e.note_column(1, 51 + i);
+        }
+        assert!(matches!(e.note_pre(1), MigrationStep::Couple { .. }));
+        assert!(pending(&e).is_empty(), "cross-bank couple point");
+        e.note_act(3, 70);
+        for i in 0..16 {
+            e.note_column(3, 71 + i);
+        }
+        assert!(matches!(e.note_pre(3), MigrationStep::Complete { .. }));
+
+        // Fill-in: a forced precharge leaves its write-back ACT due on
+        // its own bank, with no read-out behind it.
+        assert!(e.dispatch_fill(2, 17, false, 100));
+        e.note_act(2, 100);
+        e.note_column(2, 101);
+        e.on_forced_precharge(2);
+        let c = e.next_command(2, None).unwrap();
+        assert_eq!((c.command, c.row), (Command::Act, 17));
+        assert!(pending(&e).is_empty(), "fill-in");
+    }
+
+    #[test]
     fn rate_limiter_gates_job_starts_only() {
         let rate = MigrationRate {
             window_cycles: 100,
             max_starts: 1,
         };
         let mut e = engine(Some(rate));
-        e.dispatch(0, 1, 40, RowMode::MaxCapacity, RowMode::HighPerformance, 0);
-        e.dispatch(2, 5, 40, RowMode::MaxCapacity, RowMode::HighPerformance, 0);
+        e.dispatch_couple(
+            0,
+            1,
+            0,
+            40,
+            RowMode::MaxCapacity,
+            RowMode::HighPerformance,
+            0,
+        );
+        e.dispatch_couple(
+            2,
+            5,
+            2,
+            40,
+            RowMode::MaxCapacity,
+            RowMode::HighPerformance,
+            0,
+        );
         assert_eq!(e.rate_gate(5), 5);
         e.note_act(0, 5); // first start charges the window
                           // Window 0 exhausted for *starts*: gate jumps to the boundary...
@@ -1646,13 +1463,33 @@ mod tests {
     #[test]
     fn round_robin_rotates_across_banks_with_work() {
         let mut e = engine(None);
-        e.dispatch(0, 1, 40, RowMode::MaxCapacity, RowMode::HighPerformance, 0);
-        e.dispatch(2, 5, 40, RowMode::MaxCapacity, RowMode::HighPerformance, 0);
-        let first: Vec<usize> = e.banks_with_work().collect();
-        assert_eq!(first, vec![0, 2]);
+        e.dispatch_couple(
+            0,
+            1,
+            0,
+            40,
+            RowMode::MaxCapacity,
+            RowMode::HighPerformance,
+            0,
+        );
+        e.dispatch_couple(
+            2,
+            5,
+            2,
+            40,
+            RowMode::MaxCapacity,
+            RowMode::HighPerformance,
+            0,
+        );
+        let with_work: Vec<usize> = (0..4).filter(|&b| e.bank_has_work(b)).collect();
+        assert_eq!(with_work, vec![0, 2]);
+        assert_eq!(e.rr_start(), 0);
         e.note_act(0, 0);
-        let next: Vec<usize> = e.banks_with_work().collect();
-        assert_eq!(next, vec![2, 0], "pointer moved past the served bank");
+        assert_eq!(e.rr_start(), 1, "pointer moved past the served bank");
+        e.note_act(2, 1);
+        assert_eq!(e.rr_start(), 3);
+        e.note_column(0, 2);
+        assert_eq!(e.rr_start(), 1, "every migration command moves it");
     }
 
     #[test]
@@ -1795,7 +1632,15 @@ mod tests {
         assert!(e.next_command(1, None).is_none());
         // A bank serving as a destination cannot start its own queue
         // either.
-        e.dispatch(2, 9, 50, RowMode::MaxCapacity, RowMode::HighPerformance, 0);
+        e.dispatch_couple(
+            2,
+            9,
+            2,
+            50,
+            RowMode::MaxCapacity,
+            RowMode::HighPerformance,
+            0,
+        );
         assert_eq!(e.queued_start(2), None);
     }
 

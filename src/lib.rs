@@ -161,10 +161,11 @@
 //! # Capacity directory: placement and cross-channel frame rebalancing
 //!
 //! Where a coupling's displaced half-row *lands* is a placement decision
-//! ([`memsim::frames`]): the legacy same-bank model serializes the two
-//! phases on one row buffer; `DestinationPicker::CrossBank` places the
-//! destination frame in another bank, so one job's read-out and
-//! write-back issue into **two banks concurrently** (the destination's
+//! ([`memsim::frames`]): same-bank placement puts a job's read-out and
+//! write-back sides on one bank, where they serialize on its one row
+//! buffer; `DestinationPicker::CrossBank` places the destination frame
+//! in another bank, so the two sides issue into **two banks
+//! concurrently** (the destination's
 //! ACT/tRCD hides under the read bursts and the write bursts chase the
 //! reads); `DestinationPicker::CrossChannel` additionally runs a
 //! system-level rebalancer that moves whole *frames* between channels at
