@@ -64,41 +64,31 @@ fn print_placement(report: &policies::PolicySweepReport) {
 
 fn main() {
     let scale = clr_bench::startup("policy sweep (dynamic capacity-latency trade-off, §6)");
-    match sweep_from(process_env) {
-        SweepPart::Contention => {
-            // Contention-only mode: the CI smoke step driving the sharded
-            // 2-channel path on every push without the full roster.
-            let report = policies::PolicySweepReport {
-                cells: Vec::new(),
-                contention: policies::run_contention(scale, 42),
-                placement: Vec::new(),
-                scale,
-            };
-            print_contention(&report);
-            println!("\n--- machine-readable (clr-dram/policy-sweep/v7) ---");
-            print!("{}", report.to_json());
-            sanity_check_contention(&report, scale);
-            return;
-        }
-        SweepPart::Placement => {
-            // Placement-only mode: the CI smoke step driving cross-channel
-            // frame rebalancing (staged evacuate/fill jobs, remap installs)
-            // on every push.
-            let report = policies::PolicySweepReport {
-                cells: Vec::new(),
-                contention: Vec::new(),
-                placement: policies::run_placement(scale, 42),
-                scale,
-            };
-            print_placement(&report);
-            println!("\n--- machine-readable (clr-dram/policy-sweep/v7) ---");
-            print!("{}", report.to_json());
-            sanity_check_placement(&report);
-            return;
-        }
-        SweepPart::All => {}
+    let part = sweep_from(process_env);
+    let report = policies::run(scale, 42, part);
+    if part == SweepPart::All {
+        print_policy_block(&report, scale);
     }
-    let report = policies::run(scale, 42);
+    if !report.contention.is_empty() {
+        print_contention(&report);
+    }
+    if !report.placement.is_empty() {
+        print_placement(&report);
+    }
+    println!("\n--- machine-readable (clr-dram/policy-sweep/v7) ---");
+    print!("{}", report.to_json());
+    if !report.contention.is_empty() {
+        sanity_check_contention(&report, scale);
+    }
+    if !report.placement.is_empty() {
+        sanity_check_placement(&report);
+    }
+}
+
+/// Prints the policy block: the cell table, background vs stall, the
+/// 2-core shared-budget cell and the per-workload dynamic-vs-static
+/// contrast.
+fn print_policy_block(report: &policies::PolicySweepReport, scale: Scale) {
     print!("{}", report.render());
 
     // Relocation-model axis: background migration must dominate the
@@ -142,7 +132,7 @@ fn main() {
     // Per-workload contrast: the dynamic-policy win should appear on the
     // drifting hot set, shrink to parity on the stable hot set, and stay
     // non-negative (policy declines to relocate) on uniform-random.
-    for workload in clr_sim::experiment::policies::workload_roster(scale) {
+    for workload in policies::workload_roster(scale) {
         let name = workload.name();
         let Some(dynamic) = report.cell_for("hysteresis", &name) else {
             continue;
@@ -163,14 +153,6 @@ fn main() {
             None => println!("\n{name}: no static split fits the dynamic capacity budget"),
         }
     }
-
-    print_contention(&report);
-    print_placement(&report);
-
-    println!("\n--- machine-readable (clr-dram/policy-sweep/v7) ---");
-    print!("{}", report.to_json());
-    sanity_check_contention(&report, scale);
-    sanity_check_placement(&report);
 }
 
 /// Hard acceptance checks on the placement sweep: every cell runs under

@@ -1,67 +1,42 @@
 //! SLO verdict for the CI smoke contention cell, with the telemetry
 //! inertness contract re-proven on the way.
 //!
-//! Runs the 2-core × 2-channel util-threshold contention cell (the same
-//! shape the smoke `policy_sweep` roster drives through the sharded
-//! channel path) twice — once with continuous telemetry off, once on —
-//! and asserts the simulated outcome is bit-identical (the telemetry
-//! run also attributes wait causes, so the same differential proves the
-//! blame ledger inert after zeroing its own fields). Then evaluates
+//! Runs the 2-core × 2-channel util-threshold contention cell (the
+//! first cell of the smoke `policy_sweep` contention roster, which
+//! drives the sharded channel path) twice — once with continuous
+//! telemetry off, once on — and asserts the simulated outcome is
+//! bit-identical (the telemetry run also attributes wait causes, so the
+//! same differential proves the blame ledger inert after zeroing its own
+//! fields). Then evaluates
 //! the cell's [`cell_slo_spec`] against the fused system series, plus a
 //! scalar objective holding the final high-performance fraction under
 //! the policy budget, and writes the machine-checkable verdict
 //! (`clr-dram/slo/v1`) to `BENCH_slo_report.json`. Exits nonzero if the
 //! cell misses its SLO.
 
-use clr_obs::{MetricsConfig, ScalarObjective, SloReport};
+use clr_memsim::frames::DestinationPicker;
+use clr_obs::{ScalarObjective, SloReport};
 use clr_policy::budget::BudgetSplit;
-use clr_policy::policy::{PolicyConstraints, PolicySpec};
+use clr_policy::policy::PolicySpec;
 use clr_sim::experiment::policies::{
-    cell_slo_spec, contention_workloads, epoch_cycles, policy_cluster, policy_mem_config,
-    DYNAMIC_BUDGET,
+    cell_slo_spec, contention_workloads, CellSpec, DYNAMIC_BUDGET,
 };
-use clr_sim::policyrun::{run_policy_workloads, PolicyRunConfig, PolicyRunResult};
+use clr_sim::policyrun::{run_policy_workloads, PolicyRunResult};
 use clr_sim::scale::Scale;
-use clr_sim::system::{process_env, skip_ahead_from, RunConfig};
-use memsim::frames::DestinationPicker;
-use memsim::migrate::RelocationConfig;
-
-use clr_memsim as memsim;
 
 const SEED: u64 = 42;
 
-/// The smoke contention cell's exact shape: two cores (drifting +
-/// stable hot sets) over two channels, util-threshold policy,
-/// even budget split, background-paced relocation.
-fn run(scale: Scale, metrics: Option<MetricsConfig>, blame: bool) -> PolicyRunResult {
-    let mut mem = policy_mem_config(0.0);
-    mem.geometry.channels = 2;
-    mem.refresh_enabled = true;
-    mem.relocation = RelocationConfig::background_paced();
-    mem.placement = DestinationPicker::SameBank;
-    let base = RunConfig {
-        skip_ahead: skip_ahead_from(process_env),
-        metrics,
-        blame,
-        ..RunConfig::new(
-            mem,
-            policy_cluster(),
-            scale.budget_insts(),
-            scale.warmup_insts(),
-            SEED,
-        )
-    };
-    let cfg = PolicyRunConfig::new(
-        base,
+/// The smoke contention cell: two cores (drifting + stable hot sets)
+/// over two channels, util-threshold policy, even budget split,
+/// background-paced relocation.
+fn cell(scale: Scale) -> CellSpec {
+    CellSpec::background(
         PolicySpec::UtilizationThreshold { hot: 4, cold: 1 },
-        PolicyConstraints {
-            max_hp_fraction: DYNAMIC_BUDGET,
-            max_transitions_per_epoch: 512,
-        },
-        epoch_cycles(scale),
+        contention_workloads(scale, 2),
+        2,
+        BudgetSplit::EvenSplit,
+        DestinationPicker::SameBank,
     )
-    .with_budget_split(BudgetSplit::EvenSplit);
-    run_policy_workloads(&contention_workloads(scale, 2), &cfg)
 }
 
 /// Panics if the two runs' simulated outcomes differ anywhere — the
@@ -96,7 +71,7 @@ fn blame_json(mem: &clr_memsim::MemStats) -> String {
     )
 }
 
-fn emit_json(scale: Scale, workload: &str, report: &SloReport, blame: &str) {
+fn emit_json(scale: Scale, cell: &CellSpec, report: &SloReport, blame: &str) {
     let indented = report
         .to_json()
         .lines()
@@ -107,10 +82,11 @@ fn emit_json(scale: Scale, workload: &str, report: &SloReport, blame: &str) {
         .to_string();
     let json = format!(
         "{{\n  \"schema\": \"clr-dram/slo/v1\",\n  \"scale\": \"{}\",\n  \
-         \"policy\": \"util-threshold\",\n  \"workload\": \"{}\",\n  \
+         \"policy\": \"{}\",\n  \"workload\": \"{}\",\n  \
          \"blame\": {},\n  \"report\": {}\n}}\n",
         scale.label(),
-        workload,
+        cell.policy.label(),
+        cell.mix_label(),
         blame,
         indented,
     );
@@ -129,15 +105,13 @@ fn main() {
         clr_bench::startup("SLO report (continuous telemetry on the smoke contention cell)");
 
     println!("running the 2core/2ch util-threshold cell, metrics off vs on ...");
-    let off = run(scale, None, false);
-    let on = run(
-        scale,
-        Some(MetricsConfig {
-            interval_cycles: epoch_cycles(scale),
-            capacity: 4_096,
-        }),
-        true,
-    );
+    let cell = cell(scale);
+    let cfg = cell.run_config(scale, SEED);
+    let mut off_cfg = cfg.clone();
+    off_cfg.base.metrics = None;
+    off_cfg.base.blame = false;
+    let off = run_policy_workloads(&cell.workloads, &off_cfg);
+    let on = run_policy_workloads(&cell.workloads, &cfg);
     assert_inert(&off, &on);
     println!("inertness: outcomes bit-identical with telemetry + attribution enabled");
 
@@ -176,14 +150,7 @@ fn main() {
     });
     let report = spec.evaluate(&system);
 
-    let workload = {
-        let names = contention_workloads(scale, 2)
-            .iter()
-            .map(|w| w.name().split('_').next().unwrap_or("w").to_string())
-            .collect::<Vec<_>>()
-            .join("+");
-        format!("2core/2ch:{names}")
-    };
+    let workload = cell.mix_label();
     println!("\ncell {workload}: {} windows evaluated", report.windows);
     for o in &report.objectives {
         println!(
@@ -219,11 +186,22 @@ fn main() {
         );
     }
 
-    emit_json(scale, &workload, &report, &blame_json(mem));
+    emit_json(scale, &cell, &report, &blame_json(mem));
 
     assert!(
         report.pass(),
         "the smoke contention cell missed its SLO spec"
     );
     println!("\nSLO verdict: PASS");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use clr_sim::experiment::policies::contention_roster;
+
+    #[test]
+    fn slo_cell_is_the_first_smoke_contention_cell() {
+        assert_eq!(cell(Scale::Smoke), contention_roster(Scale::Smoke)[0]);
+    }
 }

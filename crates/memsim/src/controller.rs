@@ -870,18 +870,10 @@ impl MemoryController {
     }
 
     /// Drains the per-row access telemetry accumulated since the last
-    /// drain, as `((flat_bank, row), column_accesses)` sorted by
-    /// `(bank, row)`. Empty unless
+    /// drain into `out`, as `((flat_bank, row), column_accesses)` sorted
+    /// by `(bank, row)`. Clears `out` first, so an epoch loop can reuse
+    /// one allocation across drains. Empty unless
     /// [`MemoryController::enable_row_telemetry`] was called.
-    pub fn drain_row_telemetry(&mut self) -> Vec<((u32, u32), u64)> {
-        let mut out = Vec::new();
-        self.drain_row_telemetry_into(&mut out);
-        out
-    }
-
-    /// [`MemoryController::drain_row_telemetry`] into a caller-owned
-    /// buffer, so an epoch loop can reuse one allocation across drains.
-    /// Clears `out` first.
     pub fn drain_row_telemetry_into(&mut self, out: &mut Vec<((u32, u32), u64)>) {
         out.clear();
         out.extend(std::mem::take(&mut self.row_counts));
@@ -2386,11 +2378,13 @@ mod tests {
         mc.try_enqueue(read(2, 0x40, 0)).unwrap();
         mc.try_enqueue(write(3, 0x80, 0)).unwrap();
         let _ = run_until_done(&mut mc, 20_000);
-        let telemetry = mc.drain_row_telemetry();
+        let mut telemetry = Vec::new();
+        mc.drain_row_telemetry_into(&mut telemetry);
         let total: u64 = telemetry.iter().map(|&(_, c)| c).sum();
         assert_eq!(total, 3, "reads + writes that reached the device");
         // Drained: a second export is empty until new traffic arrives.
-        assert!(mc.drain_row_telemetry().is_empty());
+        mc.drain_row_telemetry_into(&mut telemetry);
+        assert!(telemetry.is_empty());
     }
 
     #[test]

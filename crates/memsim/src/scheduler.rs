@@ -480,7 +480,7 @@ impl LaneCache {
 /// hits; once it reaches `cap` while an older request waits on the same
 /// bank, hits in that bank lose their priority. `blocked`,
 /// `blocked_rows` and `read_ok_rows` are a background migration's
-/// exclusions (see [`LaneCache::walk_rank`] and [`entry_excluded`]).
+/// exclusions (see `LaneCache::walk_rank` and `entry_excluded`).
 #[allow(clippy::too_many_arguments)]
 pub fn pick(
     entries: &[QueueEntry],

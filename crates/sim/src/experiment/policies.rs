@@ -16,6 +16,12 @@
 //! work. Together the three columns show *when* dynamism pays, not just
 //! that it can.
 //!
+//! Every report row (policy, contention and placement cells) is one
+//! [`CellSpec`] at the master seed. [`run`] plans the distinct
+//! simulations behind its rows, where a contention or placement row adds
+//! one alone run per core for its weighted speedup and max slowdown. It
+//! runs them as one [`Executor`] batch, so no simulation runs twice.
+//!
 //! The system is deliberately scaled down from the paper's 16 GiB device
 //! (a 16 MiB device, 64 KiB LLC) so that capacity pressure — the thing
 //! dynamic policies exist to manage — actually occurs at simulable
@@ -36,9 +42,12 @@ use clr_trace::phase::PhaseShiftSpec;
 use clr_trace::synthetic::{SyntheticKind, SyntheticSpec};
 use clr_trace::workload::Workload;
 
+use crate::metrics::{max_slowdown, weighted_speedup};
 use crate::policyrun::{run_policy_workloads, PolicyRunConfig};
 use crate::scale::Scale;
-use crate::system::{host_parallelism, process_env, skip_ahead_from, RunConfig};
+use crate::system::{
+    host_parallelism, per_core_seed, process_env, skip_ahead_from, RunConfig, SweepPart,
+};
 
 /// The capacity budget every dynamic policy runs under.
 pub const DYNAMIC_BUDGET: f64 = 0.25;
@@ -323,89 +332,122 @@ pub fn reloc_label(cfg: &RelocationConfig) -> &'static str {
     }
 }
 
-/// One sweep job: a policy driving one or more cores' workloads under a
-/// relocation model on a (possibly multi-channel) memory system.
-#[derive(Debug, Clone)]
-struct CellSpec {
-    policy: PolicySpec,
-    budget: f64,
-    workloads: Vec<Workload>,
-    reloc: RelocationConfig,
-    workload_label: String,
-    channels: u32,
-    split: BudgetSplit,
-    placement: DestinationPicker,
+/// One sweep simulation: a policy driving one or more cores' workloads
+/// under a relocation model on a (possibly multi-channel) memory system.
+/// Equal specs at equal seeds are the same simulation, so the sweep runs
+/// each distinct `(CellSpec, seed)` once however many rows report it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CellSpec {
+    /// The mode-management policy on every channel.
+    pub policy: PolicySpec,
+    /// Global capacity budget (maximum high-performance fraction).
+    pub budget: f64,
+    /// One workload per core.
+    pub workloads: Vec<Workload>,
+    /// Relocation model.
+    pub reloc: RelocationConfig,
+    /// Memory channels.
+    pub channels: u32,
+    /// How the global budget splits across channels.
+    pub split: BudgetSplit,
+    /// Where a coupling's displaced half-row lands.
+    pub placement: DestinationPicker,
 }
 
 impl CellSpec {
-    /// A single-channel cell with the even (trivial) budget split — the
-    /// classic sweep shape.
-    fn single_channel(
+    /// The shape of every contention and placement cell, their alone
+    /// baselines and the 2-core policy cell: a policy at
+    /// [`DYNAMIC_BUDGET`] under background-paced relocation.
+    pub fn background(
         policy: PolicySpec,
-        budget: f64,
         workloads: Vec<Workload>,
-        reloc: RelocationConfig,
-        workload_label: String,
+        channels: u32,
+        split: BudgetSplit,
+        placement: DestinationPicker,
     ) -> Self {
         CellSpec {
             policy,
-            budget,
+            budget: DYNAMIC_BUDGET,
             workloads,
-            reloc,
-            workload_label,
-            channels: 1,
-            split: BudgetSplit::EvenSplit,
-            placement: DestinationPicker::SameBank,
+            reloc: RelocationConfig::background_paced(),
+            channels,
+            split,
+            placement,
         }
+    }
+
+    /// The `"{cores}core/{ch}ch:{mix}"` label, naming each core's
+    /// workload by the first component of its name ("phase",
+    /// "stablehot", "random") to keep the label readable.
+    pub fn mix_label(&self) -> String {
+        let mix = self
+            .workloads
+            .iter()
+            .map(|w| w.name().split('_').next().unwrap_or("w").to_string())
+            .collect::<Vec<_>>()
+            .join("+");
+        format!("{}core/{}ch:{mix}", self.workloads.len(), self.channels)
+    }
+
+    /// The high-performance fraction the mode table starts at: static
+    /// splits start (and stay) at their configured layout, which the
+    /// profile-guided placement also sees; dynamic policies start
+    /// all-max-capacity and earn their fast rows.
+    fn initial_fraction(&self) -> f64 {
+        match self.policy {
+            PolicySpec::StaticSplit { fraction } => fraction,
+            _ => 0.0,
+        }
+    }
+
+    /// The cell's policy run at `scale` and trace seed `seed`, with the
+    /// sweep's observers on. Clear `base.metrics` and `base.blame` for an
+    /// observers-off run of the same cell.
+    pub fn run_config(&self, scale: Scale, seed: u64) -> PolicyRunConfig {
+        let mut mem = policy_mem_config(self.initial_fraction());
+        mem.geometry.channels = self.channels;
+        mem.refresh_enabled = true;
+        mem.relocation = self.reloc;
+        mem.placement = self.placement;
+        let base = RunConfig {
+            // Skip-ahead is bit-identical to per-cycle stepping;
+            // CLR_FORCE_PER_CYCLE forces the reference walk.
+            skip_ahead: skip_ahead_from(process_env),
+            // Every cell runs with continuous telemetry on — metrics are
+            // inert (proven by the workspace differential test), and the
+            // windowed series is what the SLO verdict evaluates. One window
+            // per policy epoch aligns the sampling grid with the decision
+            // grid.
+            metrics: Some(MetricsConfig::every(epoch_cycles(scale))),
+            // Wait-cause attribution rides along: the blame ledger is inert
+            // (differential-tested) and the sweep schema reports per-cause
+            // latency fractions for every cell.
+            blame: true,
+            ..RunConfig::new(
+                mem,
+                policy_cluster(),
+                scale.budget_insts(),
+                scale.warmup_insts(),
+                seed,
+            )
+        };
+        PolicyRunConfig::new(
+            base,
+            self.policy,
+            PolicyConstraints {
+                max_hp_fraction: self.budget,
+                max_transitions_per_epoch: 512,
+            },
+            epoch_cycles(scale),
+        )
+        .with_budget_split(self.split)
     }
 }
 
+/// Simulates one job. The cell's `workload` label is left empty: the
+/// rows that report the job fill in their own.
 fn run_cell(spec: &CellSpec, scale: Scale, seed: u64) -> PolicyCell {
-    let initial_fraction = match spec.policy {
-        // Static splits start (and stay) at their configured layout; the
-        // profile-guided placement sees the same fraction.
-        PolicySpec::StaticSplit { fraction } => fraction,
-        // Dynamic policies start all-max-capacity and earn their fast rows.
-        _ => 0.0,
-    };
-    let mut mem = policy_mem_config(initial_fraction);
-    mem.geometry.channels = spec.channels;
-    mem.refresh_enabled = true;
-    mem.relocation = spec.reloc;
-    mem.placement = spec.placement;
-    let base = RunConfig {
-        // Skip-ahead is bit-identical to per-cycle stepping;
-        // CLR_FORCE_PER_CYCLE forces the reference walk.
-        skip_ahead: skip_ahead_from(process_env),
-        // Every cell runs with continuous telemetry on — metrics are
-        // inert (proven by the workspace differential test), and the
-        // windowed series is what the SLO verdict evaluates. One window
-        // per policy epoch aligns the sampling grid with the decision
-        // grid.
-        metrics: Some(MetricsConfig::every(epoch_cycles(scale))),
-        // Wait-cause attribution rides along: the blame ledger is inert
-        // (differential-tested) and the sweep schema reports per-cause
-        // latency fractions for every cell.
-        blame: true,
-        ..RunConfig::new(
-            mem,
-            policy_cluster(),
-            scale.budget_insts(),
-            scale.warmup_insts(),
-            seed,
-        )
-    };
-    let cfg = PolicyRunConfig::new(
-        base,
-        spec.policy,
-        PolicyConstraints {
-            max_hp_fraction: spec.budget,
-            max_transitions_per_epoch: 512,
-        },
-        epoch_cycles(scale),
-    )
-    .with_budget_split(spec.split);
-    let r = run_policy_workloads(&spec.workloads, &cfg);
+    let r = run_policy_workloads(&spec.workloads, &spec.run_config(scale, seed));
     let (read_p50, read_p95, read_p99) = r.run.mem.read_latency_percentiles();
     let system_series = r.run.metrics.as_ref().expect("metrics enabled").system();
     let slo = cell_slo_spec(spec.reloc.is_background()).evaluate(&system_series);
@@ -416,7 +458,7 @@ fn run_cell(spec: &CellSpec, scale: Scale, seed: u64) -> PolicyCell {
         .unwrap_or(0);
     PolicyCell {
         policy: spec.policy.label(),
-        workload: spec.workload_label.clone(),
+        workload: String::new(),
         reloc: reloc_label(&spec.reloc).to_string(),
         cores: spec.workloads.len(),
         channels: spec.channels,
@@ -432,7 +474,7 @@ fn run_cell(spec: &CellSpec, scale: Scale, seed: u64) -> PolicyCell {
         avg_capacity_loss: if matches!(spec.policy, PolicySpec::StaticSplit { .. }) {
             // A static split forfeits its fraction's capacity for the
             // whole run, independent of epoch accounting.
-            initial_fraction / 2.0
+            spec.initial_fraction() / 2.0
         } else {
             r.avg_capacity_loss()
         },
@@ -454,79 +496,40 @@ fn run_cell(spec: &CellSpec, scale: Scale, seed: u64) -> PolicyCell {
     }
 }
 
-/// The 2-core shared-fast-row-budget contention cell: two cores — a
-/// drifting hot set and a stable hot set — compete for one controller's
-/// capacity budget under the hysteresis policy with background
-/// relocation. The per-core IPC column shows who wins the shared fast
-/// rows (first step on the multi-core contention roadmap item).
-fn multicore_cell(scale: Scale) -> CellSpec {
-    let w0 = phase_workload(scale);
-    let w1 = stable_hot_workload(scale);
-    let workload_label = format!("2core:{}+{}", w0.name(), w1.name());
-    CellSpec::single_channel(
-        PolicySpec::Hysteresis,
-        DYNAMIC_BUDGET,
-        vec![w0, w1],
-        RelocationConfig::background_paced(),
-        workload_label,
-    )
-}
-
-/// One contention-sweep configuration: how many cores compete for how
-/// many channels, under which policy and cross-channel budget split.
-#[derive(Debug, Clone, Copy)]
-pub struct ContentionSpec {
-    /// Competing cores (workloads assigned round-robin from the roster).
-    pub cores: usize,
-    /// Memory channels.
-    pub channels: u32,
-    /// The dynamic policy managing every channel.
-    pub policy: PolicySpec,
-    /// How the global budget splits across channels.
-    pub split: BudgetSplit,
-}
-
-impl ContentionSpec {
-    fn label(&self, workloads: &[Workload]) -> String {
-        let mix = workloads
-            .iter()
-            .map(|w| {
-                // First component of the workload name ("phase",
-                // "stablehot", "random") keeps the label readable.
-                let name = w.name();
-                name.split('_').next().unwrap_or("w").to_string()
-            })
-            .collect::<Vec<_>>()
-            .join("+");
-        format!("{}core/{}ch:{mix}", self.cores, self.channels)
-    }
-}
-
-/// The contention sweep's configurations: core counts {1, 2, 4} ×
-/// channel counts {1, 2} × budget splits (even always; demand only
-/// where there is more than one channel to rebalance) × the two
-/// interesting dynamic policies. At smoke scale the roster is trimmed
-/// to the two cells CI must exercise: the 2-core × 2-channel sharded
-/// path and the 4-core × 2-channel hysteresis headline.
-pub fn contention_roster(scale: Scale) -> Vec<ContentionSpec> {
+/// The contention sweep's cells: core counts {1, 2, 4} × channel counts
+/// {1, 2} × budget splits (even always; demand only where there is more
+/// than one channel to rebalance) × the two interesting dynamic
+/// policies. At smoke scale the roster is trimmed to the two cells CI
+/// must exercise: the 2-core × 2-channel sharded path and the 4-core ×
+/// 2-channel hysteresis headline.
+pub fn contention_roster(scale: Scale) -> Vec<CellSpec> {
+    let cell = |policy, cores, channels, split| {
+        CellSpec::background(
+            policy,
+            contention_workloads(scale, cores),
+            channels,
+            split,
+            DestinationPicker::SameBank,
+        )
+    };
     if scale == Scale::Smoke {
         return vec![
             // Util-threshold promotes eagerly even at smoke budgets, so
             // this cell drives real background migration through the
             // sharded path on every CI push (hysteresis's payoff
             // threshold rightly declines promotions this small).
-            ContentionSpec {
-                cores: 2,
-                channels: 2,
-                policy: PolicySpec::UtilizationThreshold { hot: 4, cold: 1 },
-                split: BudgetSplit::EvenSplit,
-            },
-            ContentionSpec {
-                cores: 4,
-                channels: 2,
-                policy: PolicySpec::Hysteresis,
-                split: BudgetSplit::demand_proportional(),
-            },
+            cell(
+                PolicySpec::UtilizationThreshold { hot: 4, cold: 1 },
+                2,
+                2,
+                BudgetSplit::EvenSplit,
+            ),
+            cell(
+                PolicySpec::Hysteresis,
+                4,
+                2,
+                BudgetSplit::demand_proportional(),
+            ),
         ];
     }
     let mut out = Vec::new();
@@ -549,12 +552,7 @@ pub fn contention_roster(scale: Scale) -> Vec<ContentionSpec> {
                     splits.push(BudgetSplit::demand_proportional());
                 }
                 for split in splits {
-                    out.push(ContentionSpec {
-                        cores,
-                        channels,
-                        policy,
-                        split,
-                    });
+                    out.push(cell(policy, cores, channels, split));
                 }
             }
         }
@@ -568,141 +566,6 @@ pub fn contention_roster(scale: Scale) -> Vec<ContentionSpec> {
 pub fn contention_workloads(scale: Scale, cores: usize) -> Vec<Workload> {
     let roster = workload_roster(scale);
     (0..cores).map(|i| roster[i % roster.len()]).collect()
-}
-
-/// Identity of one alone-baseline run: `(workload, trace seed,
-/// channels, policy, split)`. Cells in the same (policy, channels,
-/// split) group share baselines for the cores they have in common, so
-/// each distinct configuration is simulated exactly once per sweep.
-type AloneKey = (String, u64, u32, String, &'static str);
-
-fn alone_key(spec: &ContentionSpec, w: &Workload, alone_seed: u64) -> AloneKey {
-    (
-        w.name(),
-        alone_seed,
-        spec.channels,
-        spec.policy.label(),
-        spec.split.label(),
-    )
-}
-
-fn alone_cell_spec(spec: &ContentionSpec, w: Workload) -> CellSpec {
-    CellSpec {
-        policy: spec.policy,
-        budget: DYNAMIC_BUDGET,
-        workloads: vec![w],
-        reloc: RelocationConfig::background_paced(),
-        workload_label: String::new(),
-        channels: spec.channels,
-        split: spec.split,
-        placement: DestinationPicker::SameBank,
-    }
-}
-
-/// Runs one contention cell, filling in weighted speedup and max
-/// slowdown against the precomputed per-core alone baselines (each
-/// core's workload alone on the identical memory system, replaying the
-/// exact per-core trace seed).
-fn run_contention_cell(
-    spec: &ContentionSpec,
-    scale: Scale,
-    seed: u64,
-    baselines: &std::collections::HashMap<AloneKey, PolicyCell>,
-) -> PolicyCell {
-    let workloads = contention_workloads(scale, spec.cores);
-    let cell_spec = CellSpec {
-        policy: spec.policy,
-        budget: DYNAMIC_BUDGET,
-        workloads: workloads.clone(),
-        reloc: RelocationConfig::background_paced(),
-        workload_label: spec.label(&workloads),
-        channels: spec.channels,
-        split: spec.split,
-        placement: DestinationPicker::SameBank,
-    };
-    // A 1-core cell *is* an alone run (per_core_seed(seed, 0) == seed):
-    // when its group's core-0 baseline already exists, relabel it
-    // instead of re-simulating the identical configuration; its
-    // fairness metrics are exactly 1.0 by construction either way.
-    if spec.cores == 1 {
-        let mut cell = match baselines.get(&alone_key(spec, &workloads[0], seed)) {
-            Some(baseline) => baseline.clone(),
-            None => run_cell(&cell_spec, scale, seed),
-        };
-        cell.workload = cell_spec.workload_label;
-        cell.weighted_speedup = Some(1.0);
-        cell.max_slowdown = Some(1.0);
-        return cell;
-    }
-    let mut cell = run_cell(&cell_spec, scale, seed);
-    let alone: Vec<f64> = workloads
-        .iter()
-        .enumerate()
-        .map(|(core, w)| {
-            let alone_seed = crate::system::per_core_seed(seed, core);
-            baselines[&alone_key(spec, w, alone_seed)].ipc
-        })
-        .collect();
-    cell.weighted_speedup = Some(crate::metrics::weighted_speedup(&cell.ipc_per_core, &alone));
-    cell.max_slowdown = Some(crate::metrics::max_slowdown(&cell.ipc_per_core, &alone));
-    apply_slowdown_slo(&mut cell);
-    cell
-}
-
-/// Folds the fairness ceiling into a cell's SLO verdict: once a
-/// contention/placement cell's max slowdown is known, it must also stay
-/// under [`SLO_MAX_SLOWDOWN_MILLI`] (a scalar objective the windowed
-/// series cannot see — it needs the alone baselines).
-fn apply_slowdown_slo(cell: &mut PolicyCell) {
-    if let Some(ms) = cell.max_slowdown {
-        let milli = (ms * 1000.0).round() as u64;
-        if milli > SLO_MAX_SLOWDOWN_MILLI {
-            cell.slo_pass = false;
-            cell.slo_violations += 1;
-        }
-    }
-}
-
-/// Runs the contention sweep (see [`contention_roster`]): first every
-/// *distinct* alone-baseline configuration (deduplicated across cells
-/// — a 4-core cell shares its first two baselines with the 2-core and
-/// 1-core cells of the same policy/channels/split group), then every
-/// contention cell, all run as jobs on one [`Executor`].
-pub fn run_contention(scale: Scale, seed: u64) -> Vec<PolicyCell> {
-    let specs = contention_roster(scale);
-    let mut wanted: Vec<(AloneKey, CellSpec, u64)> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    for spec in &specs {
-        if spec.cores == 1 {
-            continue; // reuses its group's core-0 baseline (or runs once)
-        }
-        for (core, w) in contention_workloads(scale, spec.cores).iter().enumerate() {
-            let alone_seed = crate::system::per_core_seed(seed, core);
-            let key = alone_key(spec, w, alone_seed);
-            if seen.insert(key.clone()) {
-                wanted.push((key, alone_cell_spec(spec, *w), alone_seed));
-            }
-        }
-    }
-    let pool = Executor::new(host_parallelism());
-    let cells = pool.run_batch(
-        wanted
-            .iter()
-            .map(|(_, spec, alone_seed)| move || run_cell(spec, scale, *alone_seed))
-            .collect(),
-    );
-    let baselines: std::collections::HashMap<AloneKey, PolicyCell> = wanted
-        .into_iter()
-        .zip(cells)
-        .map(|((key, _, _), cell)| (key, cell))
-        .collect();
-    let baselines = &baselines;
-    pool.run_batch(
-        specs
-            .iter()
-            .map(|spec| move || run_contention_cell(spec, scale, seed, baselines))
-            .collect(),
-    )
 }
 
 /// The placement sweep's workload mix: the drifting and stable hot sets
@@ -738,98 +601,185 @@ pub fn placement_roster(scale: Scale) -> Vec<DestinationPicker> {
     ]
 }
 
-fn placement_cell_spec(
-    placement: DestinationPicker,
-    workloads: Vec<Workload>,
+/// One report row: the cell it runs, the workload label it reports
+/// under, and whether it is priced against per-core alone runs.
+#[derive(Clone)]
+struct SweepRow {
+    spec: CellSpec,
     label: String,
-) -> CellSpec {
-    CellSpec {
-        // Util-threshold promotes eagerly even at smoke budgets, so the
-        // placement machinery is exercised on every CI push.
-        policy: PolicySpec::UtilizationThreshold { hot: 4, cold: 1 },
-        budget: DYNAMIC_BUDGET,
-        workloads,
-        reloc: RelocationConfig::background_paced(),
-        workload_label: label,
-        channels: 2,
-        // Demand-proportional budget on every cell: the same-bank column
-        // is then exactly "budget-only rebalancing", so the placement
-        // axis is isolated.
-        split: BudgetSplit::demand_proportional(),
-        placement,
-    }
+    /// Fill in weighted speedup, max slowdown and the slowdown SLO from
+    /// each core's workload run alone on the identical memory system.
+    fair: bool,
 }
 
-/// Runs the placement sweep: each placement mode drives the 2-core
-/// channel-skewed mix on a 2-channel system, with weighted speedup and
-/// max slowdown computed against per-core alone baselines run under the
-/// *same* placement mode (exact per-core trace seeds, as in the
-/// contention sweep).
-pub fn run_placement(scale: Scale, seed: u64) -> Vec<PolicyCell> {
-    let placements = placement_roster(scale);
-    let workloads = skewed_workloads(scale);
-    let per = workloads.len() + 1;
-    let mut jobs: Vec<(CellSpec, u64)> = Vec::new();
-    for &p in &placements {
-        for (core, w) in workloads.iter().enumerate() {
-            jobs.push((
-                placement_cell_spec(p, vec![*w], String::new()),
-                crate::system::per_core_seed(seed, core),
-            ));
+/// The sweep's rows, one list per report section (policy cells,
+/// contention, placement); the sections `part` leaves out are empty.
+fn sweep_rows(scale: Scale, part: SweepPart) -> [Vec<SweepRow>; 3] {
+    let row = |spec, label, fair| SweepRow { spec, label, fair };
+    let mut policy = Vec::new();
+    if part == SweepPart::All {
+        // Workload-major with the drifting-hot-set column first.
+        for w in workload_roster(scale) {
+            for (spec, budget) in policy_roster() {
+                for reloc in reloc_axis(spec) {
+                    let spec = CellSpec {
+                        policy: spec,
+                        budget,
+                        workloads: vec![w],
+                        reloc,
+                        channels: 1,
+                        split: BudgetSplit::EvenSplit,
+                        placement: DestinationPicker::SameBank,
+                    };
+                    policy.push(row(spec, w.name(), false));
+                }
+            }
         }
-        let label = format!("2core/2ch:skewed:{}", p.label());
-        jobs.push((placement_cell_spec(p, workloads.clone(), label), seed));
+        // The 2-core shared-fast-row-budget cell: a drifting and a
+        // stable hot set compete for one controller's budget; the
+        // per-core IPC column shows who wins the fast rows.
+        let (w0, w1) = (phase_workload(scale), stable_hot_workload(scale));
+        let spec = CellSpec::background(
+            PolicySpec::Hysteresis,
+            vec![w0, w1],
+            1,
+            BudgetSplit::EvenSplit,
+            DestinationPicker::SameBank,
+        );
+        let label = format!("2core:{}+{}", w0.name(), w1.name());
+        policy.push(row(spec, label, false));
     }
-    let cells = Executor::new(host_parallelism()).run_batch(
-        jobs.iter()
+    let contention = match part {
+        SweepPart::Placement => Vec::new(),
+        _ => contention_roster(scale)
+            .into_iter()
+            .map(|spec| row(spec.clone(), spec.mix_label(), true))
+            .collect(),
+    };
+    let placement = match part {
+        SweepPart::Contention => Vec::new(),
+        // Util-threshold promotes eagerly even at smoke budgets, so the
+        // placement machinery is exercised on every CI push. With a
+        // demand-proportional budget on every cell, the same-bank column
+        // is exactly "budget-only rebalancing": the placement axis is
+        // isolated.
+        _ => placement_roster(scale)
+            .into_iter()
+            .map(|p| {
+                let spec = CellSpec::background(
+                    PolicySpec::UtilizationThreshold { hot: 4, cold: 1 },
+                    skewed_workloads(scale),
+                    2,
+                    BudgetSplit::demand_proportional(),
+                    p,
+                );
+                row(spec, format!("2core/2ch:skewed:{}", p.label()), true)
+            })
+            .collect(),
+    };
+    [policy, contention, placement]
+}
+
+/// The distinct simulations behind a list of rows.
+struct Plan {
+    /// Every distinct `(CellSpec, seed)` job, in first-use order.
+    jobs: Vec<(CellSpec, u64)>,
+    /// Per row: its own job, then its per-core alone jobs (none unless
+    /// the row is fair).
+    rows: Vec<(usize, Vec<usize>)>,
+}
+
+/// Plans `rows` at master seed `seed` without simulating anything. A
+/// row runs its spec at `seed`; a fair row's alone run for core `i` is
+/// its spec with workload `i` alone at `per_core_seed(seed, i)`, the
+/// exact trace that core replayed. Equal jobs are planned once, so a
+/// 1-core fair row is its own baseline and rows of different sections
+/// share their common configurations.
+fn plan(rows: &[SweepRow], seed: u64) -> Plan {
+    let mut jobs: Vec<(CellSpec, u64)> = Vec::new();
+    let mut job = |job: (CellSpec, u64)| {
+        jobs.iter().position(|j| *j == job).unwrap_or_else(|| {
+            jobs.push(job);
+            jobs.len() - 1
+        })
+    };
+    let rows = rows
+        .iter()
+        .map(|row| {
+            let own = job((row.spec.clone(), seed));
+            let cores = if row.fair {
+                row.spec.workloads.len()
+            } else {
+                0
+            };
+            let alone = (0..cores).map(|core| {
+                let workloads = vec![row.spec.workloads[core]];
+                let spec = CellSpec {
+                    workloads,
+                    ..row.spec.clone()
+                };
+                job((spec, per_core_seed(seed, core)))
+            });
+            (own, alone.collect())
+        })
+        .collect();
+    Plan { jobs, rows }
+}
+
+/// Runs every planned job of `rows` as one [`Executor`] batch, then
+/// reports each row under its label; fair rows also get weighted
+/// speedup and max slowdown against their alone runs, and fail their
+/// SLO above the [`SLO_MAX_SLOWDOWN_MILLI`] fairness ceiling (a scalar
+/// objective the windowed series cannot see).
+fn run_rows(rows: &[SweepRow], scale: Scale, seed: u64) -> Vec<PolicyCell> {
+    let plan = plan(rows, seed);
+    let results = Executor::new(host_parallelism()).run_batch(
+        plan.jobs
+            .iter()
             .map(|(spec, seed)| move || run_cell(spec, scale, *seed))
             .collect(),
     );
-    cells
-        .chunks(per)
-        .map(|chunk| {
-            let alone: Vec<f64> = chunk[..per - 1].iter().map(|c| c.ipc).collect();
-            let mut cell = chunk[per - 1].clone();
-            cell.weighted_speedup =
-                Some(crate::metrics::weighted_speedup(&cell.ipc_per_core, &alone));
-            cell.max_slowdown = Some(crate::metrics::max_slowdown(&cell.ipc_per_core, &alone));
-            apply_slowdown_slo(&mut cell);
+    rows.iter()
+        .zip(&plan.rows)
+        .map(|(row, (own, alone))| {
+            let mut cell = PolicyCell {
+                workload: row.label.clone(),
+                ..results[*own].clone()
+            };
+            if row.fair {
+                let alone: Vec<f64> = alone.iter().map(|&j| results[j].ipc).collect();
+                let slowdown = max_slowdown(&cell.ipc_per_core, &alone);
+                cell.weighted_speedup = Some(weighted_speedup(&cell.ipc_per_core, &alone));
+                cell.max_slowdown = Some(slowdown);
+                if (slowdown * 1000.0).round() as u64 > SLO_MAX_SLOWDOWN_MILLI {
+                    cell.slo_pass = false;
+                    cell.slo_violations += 1;
+                }
+            }
             cell
         })
         .collect()
 }
 
-/// Runs the sweep: every roster policy × every roster workload
-/// (drifting-hot, stable-hot, uniform-random) × the policy's relocation
-/// axis (stall vs background for dynamic policies), plus the 2-core
-/// shared-budget cell and the contention sweep (core counts × channel
-/// counts × budget splits; see [`contention_roster`]); cells are
-/// run as jobs on an [`Executor`]. Cells are workload-major with the
-/// drifting-hot-set column first, so [`PolicySweepReport::cell`]
-/// lookups by policy alone keep resolving to the headline workload.
-pub fn run(scale: Scale, seed: u64) -> PolicySweepReport {
-    let mut jobs: Vec<CellSpec> = Vec::new();
-    for w in workload_roster(scale) {
-        for (spec, budget) in policy_roster() {
-            for reloc in reloc_axis(spec) {
-                jobs.push(CellSpec::single_channel(
-                    spec,
-                    budget,
-                    vec![w],
-                    reloc,
-                    w.name(),
-                ));
-            }
-        }
-    }
-    jobs.push(multicore_cell(scale));
-    let cells = Executor::new(host_parallelism()).run_batch(
-        jobs.iter()
-            .map(|spec| move || run_cell(spec, scale, seed))
-            .collect(),
-    );
-    let contention = run_contention(scale, seed);
-    let placement = run_placement(scale, seed);
+/// Runs the sweep, or the one section `part` selects, as one batch of
+/// rows on an [`Executor`]:
+/// - the policy cells: every roster policy × every roster workload
+///   (drifting-hot, stable-hot, uniform-random) × the policy's
+///   relocation axis, workload-major with the drifting-hot-set column
+///   first, plus the 2-core shared-budget cell;
+/// - the contention cells of [`contention_roster`];
+/// - the placement cells: each [`placement_roster`] mode on the
+///   channel-skewed 2-core mix over 2 channels.
+///
+/// Contention and placement cells are priced against their per-core
+/// alone runs under the same configuration. Every distinct simulation
+/// runs once, however many rows report it.
+pub fn run(scale: Scale, seed: u64, part: SweepPart) -> PolicySweepReport {
+    let [policy, contention, placement] = sweep_rows(scale, part);
+    let (n_policy, n_contention) = (policy.len(), contention.len());
+    let mut cells = run_rows(&[policy, contention, placement].concat(), scale, seed);
+    let placement = cells.split_off(n_policy + n_contention);
+    let contention = cells.split_off(n_policy);
     PolicySweepReport {
         cells,
         contention,
@@ -839,18 +789,6 @@ pub fn run(scale: Scale, seed: u64) -> PolicySweepReport {
 }
 
 impl PolicySweepReport {
-    /// The headline workload: the one the first cell ran (sweep order puts
-    /// the drifting-hot-set column first).
-    pub fn headline_workload(&self) -> Option<&str> {
-        self.cells.first().map(|c| c.workload.as_str())
-    }
-
-    /// The cell for a policy label on the headline workload, if present.
-    pub fn cell(&self, policy: &str) -> Option<&PolicyCell> {
-        let workload = self.headline_workload()?;
-        self.cell_for(policy, workload)
-    }
-
     /// The cell for an exact (policy, workload) pair, if present. When
     /// the policy ran under both relocation models, the background cell
     /// is the representative (it is the configuration that dominates).
@@ -884,16 +822,9 @@ impl PolicySweepReport {
         out
     }
 
-    /// The best static-split cell on the headline workload whose capacity
+    /// The best static-split cell on a workload column whose capacity
     /// loss does not exceed `max_loss + ε` — the fair static competitor
     /// for a budgeted dynamic policy.
-    pub fn best_static_within(&self, max_loss: f64) -> Option<&PolicyCell> {
-        let workload = self.headline_workload()?;
-        self.best_static_within_for(max_loss, workload)
-    }
-
-    /// [`PolicySweepReport::best_static_within`] on a specific workload
-    /// column.
     pub fn best_static_within_for(&self, max_loss: f64, workload: &str) -> Option<&PolicyCell> {
         self.cells
             .iter()
@@ -1252,8 +1183,10 @@ mod tests {
         assert!(json.contains("\"row_conflict\": 2600,"));
         assert!(json.contains("\"blame_permille\": {\"backpressure\": 0, \"refresh\": 100,"));
         assert!(json.contains("\"service\": 250}"));
-        assert!(report.cell("topk").is_some());
-        assert!(report.best_static_within(0.2).is_none());
+        assert!(report.cell_for("topk", "phase_12m_h04").is_some());
+        assert!(report
+            .best_static_within_for(0.2, "phase_12m_h04")
+            .is_none());
         // The contention table renders its fairness columns.
         let table = report.render_contention();
         assert!(table.contains("4core/2ch:mix"));
@@ -1290,19 +1223,21 @@ mod tests {
         let smoke = contention_roster(Scale::Smoke);
         assert_eq!(smoke.len(), 2);
         assert!(smoke.iter().all(|s| s.channels == 2));
-        assert_eq!(smoke[0].cores, 2);
+        assert_eq!(smoke[0].workloads.len(), 2);
         assert!(matches!(
             smoke[0].policy,
             PolicySpec::UtilizationThreshold { .. }
         ));
-        assert_eq!(smoke[1].cores, 4);
+        assert_eq!(smoke[1].workloads.len(), 4);
         assert!(matches!(smoke[1].policy, PolicySpec::Hysteresis));
         // Full cross at default scale: 2 policies × (cores {1,2} ×
         // (1ch even + 2ch even + 2ch demand) + cores 4 × 2ch-only) —
         // the 4-core mix does not fit a 1-channel device.
         let full = contention_roster(Scale::Default);
         assert_eq!(full.len(), 2 * (2 * 3 + 2));
-        assert!(!full.iter().any(|s| s.cores == 4 && s.channels == 1));
+        assert!(!full
+            .iter()
+            .any(|s| s.workloads.len() == 4 && s.channels == 1));
         assert!(full
             .iter()
             .any(|s| s.channels == 1 && matches!(s.split, BudgetSplit::EvenSplit)));
@@ -1351,5 +1286,65 @@ mod tests {
         );
         let pairs = report.background_vs_stall();
         assert_eq!(pairs, vec![("hysteresis", "w", 0.45, 0.40)]);
+    }
+    /// Plans the rows `part` selects at `scale`, without simulating.
+    fn planned(scale: Scale, part: SweepPart) -> (Vec<SweepRow>, Plan) {
+        let rows = sweep_rows(scale, part).concat();
+        let plan = plan(&rows, 42);
+        (rows, plan)
+    }
+
+    #[test]
+    fn plan_runs_each_distinct_simulation_once() {
+        let (rows, plan) = planned(Scale::Smoke, SweepPart::All);
+        assert_eq!((rows.len(), plan.jobs.len()), (38, 48));
+        let (rows, plan) = planned(Scale::Default, SweepPart::Contention);
+        assert_eq!((rows.len(), plan.jobs.len()), (16, 30));
+        let (rows, plan) = planned(Scale::Default, SweepPart::All);
+        assert_eq!((rows.len(), plan.jobs.len()), (53, 70));
+        // Every job is distinct, and every row names its own job plus one
+        // alone job per core exactly when it is fair.
+        for (i, a) in plan.jobs.iter().enumerate() {
+            assert!(plan.jobs[..i].iter().all(|b| b != a), "job {i} repeats");
+        }
+        for (row, (own, alone)) in rows.iter().zip(&plan.rows) {
+            assert_eq!(plan.jobs[*own], (row.spec.clone(), 42));
+            let cores = if row.fair {
+                row.spec.workloads.len()
+            } else {
+                0
+            };
+            assert_eq!(alone.len(), cores, "{}", row.label);
+            for (core, &j) in alone.iter().enumerate() {
+                let (spec, seed) = &plan.jobs[j];
+                assert_eq!(spec.workloads, vec![row.spec.workloads[core]]);
+                assert_eq!(*seed, per_core_seed(42, core));
+            }
+        }
+    }
+
+    #[test]
+    fn plan_shares_self_baselines_and_cross_section_jobs() {
+        let (rows, plan) = planned(Scale::Default, SweepPart::All);
+        let mut one_core = 0;
+        for (row, (own, alone)) in rows.iter().zip(&plan.rows) {
+            if row.fair && row.spec.workloads.len() == 1 {
+                assert_eq!(alone, &vec![*own], "{} is its own baseline", row.label);
+                one_core += 1;
+            }
+        }
+        assert_eq!(
+            one_core, 6,
+            "1-core rows: 2 policies x 3 channel/split groups"
+        );
+        let own = |pred: &dyn Fn(&SweepRow) -> bool| {
+            let i = rows.iter().position(pred).expect("row present");
+            plan.rows[i].0
+        };
+        let policy_2core = own(&|r| r.label.starts_with("2core:"));
+        let contention_2core = own(&|r| {
+            r.label == "2core/1ch:phase+stablehot" && r.spec.policy == PolicySpec::Hysteresis
+        });
+        assert_eq!(policy_2core, contention_2core);
     }
 }

@@ -17,8 +17,8 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// The scale the `CLR_SCALE` environment variable selects (see
-    /// [`crate::system::scale_from`]).
+    /// The scale the `CLR_SCALE` environment variable selects: `smoke`,
+    /// `default` or `full`; unset or empty means `default`.
     ///
     /// # Panics
     ///

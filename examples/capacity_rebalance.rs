@@ -14,39 +14,22 @@
 //! Run with `cargo run --release --example capacity_rebalance`.
 
 use clr_dram::memsim::frames::DestinationPicker;
-use clr_dram::memsim::migrate::RelocationConfig;
 use clr_dram::policy::budget::BudgetSplit;
-use clr_dram::policy::policy::{PolicyConstraints, PolicySpec};
-use clr_dram::sim::experiment::policies::{
-    epoch_cycles, policy_cluster, policy_mem_config, skewed_workloads,
-};
-use clr_dram::sim::policyrun::{run_policy_workloads, PolicyRunConfig, PolicyRunResult};
-use clr_dram::sim::system::RunConfig;
+use clr_dram::policy::policy::PolicySpec;
+use clr_dram::sim::experiment::policies::{skewed_workloads, CellSpec};
+use clr_dram::sim::policyrun::{run_policy_workloads, PolicyRunResult};
 use clr_dram::sim::Scale;
 
 fn run(placement: DestinationPicker, scale: Scale) -> PolicyRunResult {
-    let mut mem = policy_mem_config(0.0);
-    mem.geometry.channels = 2;
-    mem.relocation = RelocationConfig::background_paced();
-    mem.placement = placement;
-    let base = RunConfig::new(
-        mem,
-        policy_cluster(),
-        scale.budget_insts(),
-        scale.warmup_insts(),
-        42,
-    );
-    let cfg = PolicyRunConfig::new(
-        base,
+    // The policy sweep's placement cell under `placement`.
+    let cell = CellSpec::background(
         PolicySpec::UtilizationThreshold { hot: 4, cold: 1 },
-        PolicyConstraints {
-            max_hp_fraction: 0.25,
-            max_transitions_per_epoch: 512,
-        },
-        epoch_cycles(scale),
-    )
-    .with_budget_split(BudgetSplit::demand_proportional());
-    run_policy_workloads(&skewed_workloads(scale), &cfg)
+        skewed_workloads(scale),
+        2,
+        BudgetSplit::demand_proportional(),
+        placement,
+    );
+    run_policy_workloads(&cell.workloads, &cell.run_config(scale, 42))
 }
 
 fn report(label: &str, r: &PolicyRunResult) {

@@ -155,7 +155,7 @@
 //! each epoch in proportion to per-channel demand
 //! (`PolicyRunConfig::with_budget_split`). The `policy_sweep` binary's
 //! contention sweep (core counts × channel counts × budget splits ×
-//! policies, schema `clr-dram/policy-sweep/v6`) reports per-core IPC,
+//! policies, schema `clr-dram/policy-sweep/v7`) reports per-core IPC,
 //! weighted speedup, and max slowdown against per-core alone baselines.
 //!
 //! # Capacity directory: placement and cross-channel frame rebalancing
